@@ -361,10 +361,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["weighted_median_price"] = relational.weighted_median_price  # exact grouped weighted median
     q["table_checksum"] = _pf0.table_checksum  # order-invariant anti-entropy digest
 
-    assert set(q) == set(_R5_ORDER), (
-        sorted(set(q) - set(_R5_ORDER)),
-        sorted(set(_R5_ORDER) - set(q)),
-    )
+    if set(q) != set(_R5_ORDER):
+        raise RuntimeError(
+            f"queries() and _R5_ORDER disagree: not in _R5_ORDER {sorted(set(q) - set(_R5_ORDER))}, "
+            f"not registered {sorted(set(_R5_ORDER) - set(q))}"
+        )
     return {k: q[k] for k in _R5_ORDER}
 
 

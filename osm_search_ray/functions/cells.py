@@ -112,17 +112,6 @@ def cover_bbox(lat0: float, lon0: float, lat1: float, lon1: float, res: int) -> 
     return (gx * n + gy).ravel()
 
 
-def cover_radius(lat: float, lon: float, radius_km: float, res: int) -> np.ndarray:
-    """Cells covering a great-circle disc (kNN radius / geofence cover).
-
-    Conservative: uses the equirectangular degree box of the disc.
-    """
-    dlat = radius_km / 111.19492664455873  # km per degree latitude (R=6371)
-    coslat = max(np.cos(np.radians(lat)), 1e-9)
-    dlon = dlat / coslat
-    return cover_bbox(lat - dlat, lon - dlon, lat + dlat, lon + dlon, res)
-
-
 def _spread_bits(v: np.ndarray) -> np.ndarray:
     """Spread the low 30 bits of v so there is a zero bit between each."""
     v = v.astype(np.uint64) & np.uint64(0x3FFFFFFF)

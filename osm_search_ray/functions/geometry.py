@@ -120,13 +120,6 @@ def midpoint(lat1: float, lon1: float, lat2: float, lon2: float) -> tuple[float,
     return float(np.degrees(lat3)), float(np.degrees(lon3))
 
 
-def bbox_of(lat: np.ndarray, lon: np.ndarray) -> tuple[float, float, float, float]:
-    """(lat0, lon0, lat1, lon1) MBR — pkg/geo/geometry.go:21-33."""
-    lat = np.asarray(lat, dtype=np.float64)
-    lon = np.asarray(lon, dtype=np.float64)
-    return float(lat.min()), float(lon.min()), float(lat.max()), float(lon.max())
-
-
 def bbox_contains(outer: tuple[float, float, float, float], inner: tuple[float, float, float, float]) -> bool:
     """Outer MBR fully contains inner MBR (dedup rule D1,
     pkg/index/indexer.go:603-635)."""

@@ -55,12 +55,6 @@ def hash64_md5(values) -> np.ndarray:
     return out
 
 
-def hash64_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Combine two uint64 hash arrays order-sensitively."""
-    with np.errstate(over="ignore"):
-        return splitmix64((a.astype(np.uint64) * np.uint64(0x100000001B3)) ^ b.astype(np.uint64))
-
-
 def minhash_signature(token_hashes: np.ndarray, num_perm: int, seed: int = 7) -> np.ndarray:
     """MinHash signature of one document's token/shingle hash set.
 

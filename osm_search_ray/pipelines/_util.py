@@ -1,39 +1,13 @@
-"""Shared pipeline helpers."""
+"""The oracle float contract every pipeline follows (no code lives here).
 
-from __future__ import annotations
-
-import numpy as np
-import pyarrow as pa
-
-
-def int_scale_columns(ds, cols: dict[str, int]):
-    """Convert float aggregate columns to scaled BIGINT (e.g. cents).
-
-    NOTE: prefer integerizing PER ROW before the sum (see
-    pipelines/relational.agg_pricing) — rounding after a float sum can
-    straddle .5 boundaries at scale; this helper remains for aggregate
-    outputs whose per-row form is unavailable.
-
-    Distributed float sums are order-dependent in the last ulps, and float
-    ROUND implementations differ between engines — so every float AGGREGATE
-    column is emitted as ``CAST(ROUND(x * scale) AS BIGINT)`` on both the Ray
-    and SQL sides. The accumulation error (~1e-8) is far below the 0.5
-    integer boundary, so the integer result is deterministic and exact.
-    Per-row arithmetic columns are left as raw float64 — both engines produce
-    bit-identical values there by construction.
-    """
-
-    def _conv(batch: pa.Table) -> pa.Table:
-        for col, scale in cols.items():
-            i = batch.column_names.index(col)
-            v = np.rint(batch.column(col).to_numpy(zero_copy_only=False) * scale).astype(np.int64)
-            batch = batch.set_column(i, col, pa.array(v))
-        return batch
-
-    if isinstance(ds, pa.Table):
-        return _conv(ds)
-    return ds.map_batches(_conv, batch_format="pyarrow")
-
-
-def sql_int_scale(expr: str, scale: int) -> str:
-    return f"CAST(ROUND(({expr}) * {scale}) AS BIGINT)"
+Distributed float sums are order-dependent in the last ulps, and float
+ROUND implementations differ between engines, so every float AGGREGATE
+column is emitted as ``CAST(ROUND(x * scale) AS BIGINT)`` on both the Ray
+and SQL sides. The accumulation error (~1e-8) is far below the 0.5
+integer boundary, so the integer result is deterministic and exact.
+Prefer integerizing PER ROW before the sum (see
+pipelines/relational.agg_pricing): rounding after a float sum can
+straddle .5 boundaries at scale. Per-row arithmetic columns are left as
+raw float64: both engines produce bit-identical values there by
+construction.
+"""

@@ -6,10 +6,23 @@
 Contract pieces made real here:
 
   * ``extract_text`` — a DETERMINISTIC pure-function HTML→text extractor
-    (stdlib html.parser: drops script/style/head, strips tags, normalizes
-    whitespace). The per-row invariant "extracted text byte-identical per
-    url" holds because the extractor depends only on the html bytes —
-    tested by double extraction and by the fixture's text column.
+    (drops script/style/head, strips tags, normalizes whitespace). The
+    per-row invariant "extracted text byte-identical per url" holds
+    because the extractor depends only on the html bytes — tested by
+    double extraction and by the fixture's text column. The reference
+    semantics are the stdlib html.parser's (``_TextExtractor``), which
+    makes a Python call per token. Most pages instead take a fast path,
+    ``_fast_text``: one ``re.split`` over the markup, then one pass over
+    the skip tags, then one ``html.unescape``. It accepts a strict subset
+    of markup: comments, doctypes, end tags, whole script/style elements,
+    and start tags whose attribute values are all quoted. Any other "<"
+    (bare "<", ``<?``, ``<![CDATA[``, ``</>``, unquoted values, a
+    self-closing skip tag, an unterminated script/style, …) sends that
+    page to ``_TextExtractor``, which is unchanged.
+    tests/test_extract_fastpath.py checks that the fast path is
+    byte-identical to the parser on fixture, crawl-like and fuzzed pages.
+    The fast path mirrors the installed Python 3.11 ``html.parser``, and
+    that test is what keeps the two in step.
   * ``read_pages`` — column-pruned read: the ``html`` binary column (which
     dominates row width) is read ONLY when extraction is requested and is
     PROJECTED AWAY in the same batch that consumes it, so wide rows never
@@ -27,6 +40,7 @@ at small scale ... no external data").
 from __future__ import annotations
 
 import re
+from html import unescape
 from html.parser import HTMLParser
 from io import StringIO
 
@@ -62,18 +76,101 @@ class _TextExtractor(HTMLParser):
         return _WS_RE.sub(" ", self._out.getvalue()).strip()
 
 
-def extract_text(html: bytes | str | None) -> str:
-    """Pure deterministic HTML→text: tags stripped, script/style/head
-    content dropped, entities decoded, whitespace normalized to single
-    spaces. Identical bytes in → identical string out, always."""
-    if html is None:
-        return ""
-    if isinstance(html, (bytes, bytearray)):
-        html = html.decode("utf-8", errors="replace")
+def _parser_text(html: str) -> str:
+    """The reference extraction: stdlib ``HTMLParser`` via ``_TextExtractor``."""
     p = _TextExtractor()
     p.feed(html)
     p.close()
     return p.text()
+
+
+def _ci(word: str) -> str:
+    """ASCII case-insensitive pattern for ``word``. html.parser compares
+    ``name.lower()``, and ``str.lower`` maps no non-ASCII character onto
+    the letters of these tag names, so the two agree."""
+    return "".join(f"[{c}{c.upper()}]" for c in word)
+
+
+def _alt(tags) -> str:
+    return "(?:%s)" % "|".join(map(_ci, sorted(tags)))
+
+
+# One token per "<", in html.parser's own terms (3.11). Only skip-tag start
+# and end tags fill the capture group; a "<" that starts none of these
+# captures "" and sends the page to the parser.
+_CDATA = HTMLParser.CDATA_CONTENT_ELEMENTS  # ("script", "style")
+_NAME_END = r"(?![^\t\n\r\f />\x00])"  # where tagfind_tolerant's name stops
+_ATTRS = r"""(?:\s+[^\s/>"'=<]+(?:\s*=\s*(?:"[^"]*"|'[^']*'))?)*\s*"""  # quoted values only
+_SKIP = _alt(_SKIP_TAGS)
+_MARKUP = re.compile(
+    "<(?:%s)"
+    % "|".join(
+        [
+            r"!--.*?--\s*>",  # comment, closed by commentclose
+            rf"!{_ci('doctype')}[^>]*>",
+            # a whole script/style element: set_cdata_mode reads raw text up
+            # to the first </\s*tag\s*> that endtagfind (ASCII names) accepts
+            *(rf"{_ci(t)}{_NAME_END}{_ATTRS}>.*?</\s*{_ci(t)}\s*>" for t in _CDATA),
+            rf"/\s*(?!{_SKIP}\s*>)[a-zA-Z][-.a-zA-Z0-9:_]*\s*>",  # other end tag (endtagfind)
+            rf"(?!{_SKIP}{_NAME_END})[a-zA-Z][^\t\n\r\f />\x00]*+{_ATTRS}/?>",  # other start tag
+            rf"(/\s*{_SKIP}\s*>|{_alt(_SKIP_TAGS - set(_CDATA))}{_NAME_END}{_ATTRS}>|)",
+        ]
+    ),
+    re.S,
+)
+
+
+def _fast_text(html: str) -> str | None:
+    """``_parser_text(html)`` from one ``re.split`` over the markup, or None
+    when a "<" starts anything outside ``_MARKUP``'s subset (bare "<",
+    ``<?``, ``<![CDATA[``, ``</>``, unquoted attribute values, a
+    self-closing skip tag, a script/style element without its end tag, …).
+
+    ``_skip_depth`` is replayed over the skip tags only: every other token
+    just ends a data chunk. Depth-0 chunks are joined with " " as
+    ``handle_data`` writes them and unescaped once, which equals
+    unescaping each chunk: a char ref cannot run past a " ". ``str.split``
+    splits on exactly the characters ``_WS_RE``'s ``\\s`` matches."""
+    parts = _MARKUP.split(html)
+    skips = parts[1::2]
+    if "" in skips:
+        return None
+    data = parts[0::2]
+    kept = []
+    depth = start = 0
+    for i, tag in enumerate(skips):
+        if tag is None:
+            continue
+        if tag[0] == "/":
+            if depth:
+                depth -= 1
+                if not depth:
+                    start = i + 1
+        else:
+            if not depth:
+                kept += data[start : i + 1]
+            depth += 1
+    if not depth:
+        kept += data[start:]
+    return " ".join(unescape(" ".join(kept)).split())
+
+
+def extract_text(html: bytes | str | None) -> str:
+    """Pure deterministic HTML→text: tags stripped, script/style/head
+    content dropped, entities decoded, whitespace normalized to single
+    spaces. Identical bytes in → identical string out, always.
+
+    Pages whose markup stays inside ``_MARKUP``'s subset take the one-scan
+    ``_fast_text``; any other page goes through the stdlib parser
+    (``_parser_text``). Both give the same string on every page the fast
+    path accepts: tests/test_extract_fastpath.py checks that against the
+    parser on generated, benchmark-style and fuzzed pages."""
+    if html is None:
+        return ""
+    if isinstance(html, (bytes, bytearray)):
+        html = html.decode("utf-8", errors="replace")
+    text = _fast_text(html)
+    return _parser_text(html) if text is None else text
 
 
 def extract_text_batch(batch: pa.Table, html_col: str = "html", out_col: str = "text") -> pa.Table:

@@ -107,6 +107,9 @@ _SMALL_TARGET_BLOCK_BYTES = 128 * 1024
 
 
 def _input_bytes(path) -> int | None:
+    """Bytes of parquet data under ``path`` (a file, a directory or a list
+    of either). Under a directory only ``*.parquet`` files count: sidecars
+    such as a write manifest or ``_SUCCESS`` are not read as data."""
     import os
 
     paths = path if isinstance(path, (list, tuple)) else [path]
@@ -116,7 +119,8 @@ def _input_bytes(path) -> int | None:
             if os.path.isdir(p):
                 for root, _dirs, files in os.walk(p):
                     for f in files:
-                        total += os.stat(os.path.join(root, f)).st_size
+                        if f.endswith(".parquet"):
+                            total += os.stat(os.path.join(root, f)).st_size
             else:
                 total += os.stat(p).st_size
     except OSError:

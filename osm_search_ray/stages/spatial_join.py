@@ -280,15 +280,18 @@ def partitioned_pip_join(
     poly_rows = polygons_to_cell_rows(polys, res)
     polys_keyed = ray.data.from_arrow(poly_rows).map_batches(key_polys, batch_format="pyarrow")
 
-    point_cols = [c for c in points.schema().names]
-    # unify schemas for union: points get null ring/poly_id, polys null point cols
+    schema = points.schema()
+    types = dict(zip(schema.names, schema.types))
+    point_cols = list(schema.names)
+    # unify schemas for union: points get null ring/poly_id, polys null point
+    # cols of the points' own types
     def widen_points(t: pa.Table) -> pa.Table:
         t = t.append_column("poly_id", pa.nulls(len(t), pa.int64()))
         return t.append_column("ring", pa.nulls(len(t), pa.list_(pa.float64())))
 
     def widen_polys(t: pa.Table) -> pa.Table:
         for c in point_cols:
-            t = t.append_column(c, pa.nulls(len(t), pa.float64() if c in (lat_col, lon_col) else pa.int64()))
+            t = t.append_column(c, pa.nulls(len(t), types[c]))
         return t
 
     pts_keyed = pts_keyed.map_batches(widen_points, batch_format="pyarrow")
@@ -315,9 +318,6 @@ def partitioned_pip_join(
 
     # restore point-column dtypes (the union with the all-null polygon side
     # upcasts int columns to float in pandas groups) and apply the output name
-    schema = points.schema()
-    types = dict(zip(schema.names, schema.types))
-
     def finalize(t: pa.Table) -> pa.Table:
         arrays, names = [], []
         for c in keep:

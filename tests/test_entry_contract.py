@@ -41,6 +41,15 @@ def test_oracle_keys_subset_of_queries():
     assert rows_only == {"price_quantiles_tdigest"}, rows_only
 
 
+def test_order_mismatch_raises_with_both_diffs(monkeypatch):
+    """The registry/order check is a real error, not an assert that
+    ``python -O`` strips, and names what is missing on each side."""
+    order = [k for k in entrymod._R5_ORDER if k != "table_checksum"] + ["no_such_query"]
+    monkeypatch.setattr(entrymod, "_R5_ORDER", order)
+    with pytest.raises(RuntimeError, match=r"not in _R5_ORDER \['table_checksum'\].*not registered \['no_such_query'\]"):
+        entrymod.queries()
+
+
 def test_every_oracle_sql_parses(con):
     for name, sql in entrymod.oracle_sql().items():
         try:

@@ -230,6 +230,39 @@ def test_salted_partitioned_join_equals_broadcast():
     )
 
 
+def test_partitioned_join_on_pages_to_geo_equals_broadcast(tmp_path):
+    """The partitioned join takes the web-ingest head's output as is: its
+    string columns (url, lang) union with the polygon side's null padding,
+    and the result equals the broadcast join's."""
+    import pandas as pd
+    import pyarrow as pa
+
+    from osm_search_ray.sources.pages import make_pages_table, pages_to_geo, read_pages
+    from osm_search_ray.stages.spatial_join import PolygonSet, broadcast_pip_join, partitioned_pip_join
+
+    path = str(tmp_path / "pages.parquet")
+    pq.write_table(make_pages_table(300), path)
+    rects = pa.table(
+        {
+            "rect_id": pa.array(np.arange(4, dtype=np.int64)),
+            "lat0": pa.array([-6.45, -6.3, -6.2, -6.4]),
+            "lon0": pa.array([106.45, 106.6, 106.5, 106.8]),
+            "lat1": pa.array([-6.2, -6.1, -5.95, -6.0]),
+            "lon1": pa.array([106.7, 106.9, 107.05, 107.0]),
+        }
+    )
+    polys = PolygonSet.from_rects(rects)
+    geo = pages_to_geo(read_pages(path, extract=True))
+    a = broadcast_pip_join(geo, polys, id_out="rect_id").to_pandas()
+    b = partitioned_pip_join(geo, polys, id_out="rect_id").to_pandas()
+    assert len(a) > 0 and a["rect_id"].nunique() == 4
+    assert set(b.columns) == set(a.columns)
+    key = ["url", "rect_id"]
+    pd.testing.assert_frame_equal(
+        a[key].sort_values(key).reset_index(drop=True), b[key].sort_values(key).reset_index(drop=True)
+    )
+
+
 def test_street_grid_equals_bruteforce():
     """StreetGrid 1-NN == full (points × streets) argmin under the equirect
     ranking metric — including tie resolution (lowest street index), points

@@ -49,6 +49,21 @@ class TestReadSizing:
         error at read time instead."""
         assert readers._input_bytes(str(tmp_path / "nope.parquet")) is None
 
+    def test_directory_counts_only_parquet_files(self, tmp_path):
+        """Sidecars next to the data (a write manifest, ``_SUCCESS``, logs)
+        must not size the read: only ``*.parquet`` bytes count."""
+        pq.write_table(pa.table({"a": np.arange(100, dtype=np.int64)}), str(tmp_path / "part-0.parquet"))
+        sub = tmp_path / "cell=1"
+        sub.mkdir()
+        pq.write_table(pa.table({"a": np.arange(50, dtype=np.int64)}), str(sub / "part-1.parquet"))
+        data = (tmp_path / "part-0.parquet").stat().st_size + (sub / "part-1.parquet").stat().st_size
+        (tmp_path / "manifest.jsonl").write_bytes(b"{}\n" * 100_000)
+        (tmp_path / "_SUCCESS").write_bytes(b"")
+        (sub / "part-1.parquet.crc").write_bytes(b"x" * 4096)
+        (sub / "notes.txt").write_bytes(b"x" * 50_000)
+        assert readers._input_bytes(str(tmp_path)) == data
+        assert readers._input_bytes([str(tmp_path), str(sub / "part-1.parquet")]) == data + (sub / "part-1.parquet").stat().st_size
+
     def test_big_input_keeps_ray_default(self, tmp_path, monkeypatch):
         """Above the small-file cutoff read_pq must NOT override — Ray's
         byte-based splitting owns the 100 TB regime."""
