@@ -41,16 +41,16 @@ def main() -> None:
     DataContext.get_current().enable_progress_bars = False
 
     import pyarrow.parquet as pq
-    import ray.data
 
     from osm_search_ray.functions.cells import RES_COARSE, cell_of
     from osm_search_ray.pipelines import ingest as ing
     from osm_search_ray.pipelines import text_index as ti
     from osm_search_ray.sources import checkpoint as cp
+    from osm_search_ray.sources.readers import read_pq
 
-    nodes = ray.data.read_parquet(f"{args.osm_dir}/nodes.parquet")
-    ways = ray.data.read_parquet(f"{args.osm_dir}/ways.parquet")
-    rels = ray.data.read_parquet(f"{args.osm_dir}/relations.parquet")
+    nodes = read_pq(f"{args.osm_dir}/nodes.parquet")
+    ways = read_pq(f"{args.osm_dir}/ways.parquet")
+    rels = read_pq(f"{args.osm_dir}/relations.parquet")
 
     docs_dir = os.path.join(args.out, "docs")
     if cp.stage_complete(docs_dir):

@@ -58,6 +58,7 @@ def main() -> None:
     from osm_search_ray.pipelines import curate as cu
     from osm_search_ray.pipelines import traindata as td
     from osm_search_ray.sources import checkpoint as cp
+    from osm_search_ray.sources.readers import read_pq
 
     os.makedirs(args.out, exist_ok=True)
     curate_dir = os.path.join(args.out, "curate")
@@ -143,7 +144,7 @@ def main() -> None:
                 }
             )
 
-        ds = ray.data.read_parquet(
+        ds = read_pq(
             f"{args.sf_dir}/documents.parquet", columns=["doc_id", "text"]
         ).map_batches(attach, batch_format="pyarrow")
         fail_on = {args.fail_at} if args.fail_at is not None else None

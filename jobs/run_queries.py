@@ -38,14 +38,14 @@ def main() -> None:
     import pandas as pd
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data
 
     from osm_search_ray.pipelines import search as search_mod
     from osm_search_ray.pipelines.text_index import load_text_index
     from osm_search_ray.sources import checkpoint as cp
+    from osm_search_ray.sources.readers import read_pq
     from osm_search_ray.state.spell import SpellCorrector
 
-    queries = ray.data.read_parquet(args.queries)
+    queries = read_pq(args.queries)
 
     if args.kind in ("search", "autocomplete"):
         index = load_text_index(os.path.join(args.index, "text_index"))

@@ -50,12 +50,11 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
-    import ray.data
-
     from osm_search_ray.pipelines import index_segments as seg
+    from osm_search_ray.sources.readers import read_pq
 
     if args.cmd == "add":
-        docs = ray.data.read_parquet(args.docs, columns=["doc_id", args.text_col])
+        docs = read_pq(args.docs, columns=["doc_id", args.text_col])
         new_seg = seg.add_segment(args.index, docs, {args.text_col: 0})
         g = seg.merged_globals([new_seg])
         print(f"added {new_seg}: {g['docs_count']} docs")

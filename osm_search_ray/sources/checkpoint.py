@@ -14,7 +14,9 @@ Write protocol (idempotent, retry-safe, crash-safe):
   3. the WORKER writes ``part=<key>/manifest.json`` via tmp+rename — the
      per-partition completion record survives a driver crash, so a killed
      run loses at most in-flight partitions, never finished ones
-  4. on stage success the driver compacts sidecars into ``_manifest.jsonl``
+  4. the driver compacts the finished partitions into ``_manifest.jsonl``
+  5. a failed partition is recorded and raised after its siblings commit:
+     each partition is its own failure domain, whatever the task layout
 
 Resume protocol:
   ``completed_keys()`` reads the compacted manifest AND the sidecars; the
@@ -31,27 +33,37 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .readers import read_pq
 
 
-def _lineage_hash(df: pd.DataFrame) -> str:
-    """Deterministic content hash of a partition (row-order independent)."""
+def _sorted_bytes(col: pa.Array) -> bytes:
+    """The non-null values of ``col`` in sorted order, as bytes that do
+    not depend on the process (values, never object addresses)."""
+    if pa.types.is_nested(col.type):  # no Arrow sort order
+        return repr(sorted(map(repr, col.drop_null().to_pylist()))).encode()
+    vals = col.take(pc.sort_indices(col)).drop_null().to_numpy(zero_copy_only=False)
+    if vals.dtype.kind == "f":
+        vals = vals + 0.0  # -0.0 sorts level with 0.0: give both one byte form
+    return repr(vals.tolist()).encode() if vals.dtype == object else vals.tobytes()
+
+
+def _lineage_hash(t: pa.Table) -> str:
+    """Content hash of a partition: each column's values hashed in sorted
+    order, so it is row-order independent and the same in every process."""
     import hashlib
 
     h = hashlib.sha256()
-    for c in sorted(df.columns):
-        col = df[c]
-        try:
-            arr = np.sort(col.to_numpy())
-            h.update(np.ascontiguousarray(arr).tobytes())
-        except TypeError:
-            h.update("\x1f".join(sorted(col.astype(str))).encode())
+    for name in sorted(t.column_names):
+        col = t.column(name).combine_chunks()
+        h.update(f"{name}\x1f{col.type}\x1f{col.null_count}\x1e".encode())
+        h.update(_sorted_bytes(col))
     return h.hexdigest()[:16]
 
 
@@ -157,18 +169,18 @@ def checkpointed_write(
     """Write ``ds`` partitioned by ``partition_col``, skipping partitions
     already in the manifest. Returns the manifest rows written this run.
 
-    ``fail_on_keys`` injects a crash after specific partitions — used by the
-    kill/resume test to simulate a mid-run failure."""
+    One exchange hands each partition to the writer as an Arrow table,
+    written as is. A partition whose write fails does not stop its
+    siblings: every other partition commits, then ``RuntimeError`` names
+    the failed keys. ``fail_on_keys`` injects such a failure — used by the
+    kill/resume tests to simulate a mid-run crash."""
     os.makedirs(out_dir, exist_ok=True)
     assert_shared_visible(out_dir)
     done = completed_keys(out_dir)
-    done_list = sorted(done)
 
-    # prune completed partitions BEFORE the shuffle (cheap set lookup)
+    # prune completed partitions BEFORE the exchange (cheap set lookup)
     if done:
-        import pyarrow.compute as pc
-
-        done_arr = pa.array(done_list)
+        done_arr = pa.array(sorted(done))
 
         def prune(batch: pa.Table) -> pa.Table:
             mask = pc.invert(pc.is_in(batch.column(partition_col), value_set=done_arr))
@@ -176,66 +188,53 @@ def checkpointed_write(
 
         ds = ds.map_batches(prune, batch_format="pyarrow")
 
-    rows: list[dict] = []
-
-    def write_group(g: pd.DataFrame) -> pd.DataFrame:
-        key = g[partition_col].iloc[0]
-        key_out = int(key) if isinstance(key, (int, np.integer)) else str(key)
+    def write_group(g: pa.Table) -> pa.Table:
+        col = g.column(partition_col)
+        key = col[0].as_py() if pa.types.is_integer(col.type) else str(col[0].as_py())
+        pdir = os.path.join(out_dir, f"part={key}")
         t0 = time.time()
-        pdir = os.path.join(out_dir, f"part={key_out}")
-        os.makedirs(pdir, exist_ok=True)
-        tmp = os.path.join(pdir, ".tmp-data.parquet")
-        final = os.path.join(pdir, "data.parquet")
-        table = pa.Table.from_pandas(g, preserve_index=False)
-        pq.write_table(table, tmp)
-        if fail_on_keys and key_out in fail_on_keys:
-            time.sleep(1.0)  # let sibling partitions finish → deterministic test
-            raise RuntimeError(f"injected failure at partition {key_out}")
-        os.replace(tmp, final)
-        row = {
-            "stage": stage,
-            "partition_key": key_out,
-            "input_lineage_hash": _lineage_hash(g),
-            "row_count": int(len(g)),
-            "byte_count": int(os.path.getsize(final)),
-            "wall_ms": int((time.time() - t0) * 1000),
-            "status": "done",
-        }
-        # per-partition sidecar: completion survives a driver crash
-        side_tmp = os.path.join(pdir, ".tmp-manifest.json")
-        with open(side_tmp, "w") as f:
-            json.dump(row, f)
-        os.replace(side_tmp, os.path.join(pdir, "manifest.json"))
-        return pd.DataFrame([row])
+        try:
+            os.makedirs(pdir, exist_ok=True)
+            tmp, final = os.path.join(pdir, ".tmp-data.parquet"), os.path.join(pdir, "data.parquet")
+            pq.write_table(g, tmp)
+            if fail_on_keys and key in fail_on_keys:
+                raise RuntimeError(f"injected failure at partition {key}")
+            os.replace(tmp, final)
+            row = {
+                "stage": stage,
+                "partition_key": key,
+                "input_lineage_hash": _lineage_hash(g),
+                "row_count": g.num_rows,
+                "byte_count": os.path.getsize(final),
+                "wall_ms": int((time.time() - t0) * 1000),
+                "status": "done",
+            }
+            # per-partition sidecar: completion survives a driver crash
+            side_tmp = os.path.join(pdir, ".tmp-manifest.json")
+            with open(side_tmp, "w") as f:
+                json.dump(row, f)
+            os.replace(side_tmp, os.path.join(pdir, "manifest.json"))
+        except Exception:  # the failure stops this partition only
+            row = {"partition_key": key, "status": "failed", "error": traceback.format_exc()}
+        return pa.table({"row": [json.dumps(row)]})
 
-    # The sink's parallelism is its FAILURE-DOMAIN granularity: groupby's
-    # reduce-partition count follows the input block count, so a small
-    # (few-block) input would funnel every partition through one task and
-    # a single write failure would lose all sibling partitions' progress.
-    # Re-block to the cluster width so partition writes run (and commit)
-    # independently — the resumable-store contract the crash/resume tests
-    # pin, independent of upstream read sizing.
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    ds = ds.repartition(max(8, min(64, 2 * cpus)))
-    manifest_rows = ds.groupby(partition_col).map_groups(write_group, batch_format="pandas").to_pandas()
-    mp = manifest_path(out_dir)
-    with open(mp, "a") as f:
-        for _, r in manifest_rows.iterrows():
-            rec = r.to_dict()
-            f.write(json.dumps(rec) + "\n")
-            rows.append(rec)
+    results = ds.groupby(partition_col).map_groups(write_group, batch_format="pyarrow").take_all()
+    results = [json.loads(r["row"]) for r in results]
+    rows = [r for r in results if r["status"] == "done"]
+    with open(manifest_path(out_dir), "a") as f:
+        for r in rows:
+            f.write(json.dumps(r) + "\n")
+    failed = [r for r in results if r["status"] != "done"]
+    if failed:
+        raise RuntimeError(
+            f"checkpointed_write({stage!r}): {len(failed)} partition(s) failed, "
+            f"keys {sorted(r['partition_key'] for r in failed)}; first error:\n{failed[0]['error']}"
+        )
     return rows
 
 
 def read_checkpointed(out_dir: str, columns: list[str] | None = None):
     """Read back only COMPLETED partitions (manifest-driven)."""
-    import ray.data
-
     files = [
         os.path.join(out_dir, f"part={k}", "data.parquet")
         for k in sorted(completed_keys(out_dir), key=str)

@@ -57,7 +57,7 @@ def _coerce(batch: pa.Table, html_is_b64: bool) -> pa.Table:
 def read_pages(path: str, fmt: str = "parquet") -> "ray.data.Dataset":
     """Read a pages table in any supported format → canonical schema."""
     if fmt == "parquet":
-        ds = ray.data.read_parquet(path)
+        ds = read_pq(path)
         return ds.map_batches(lambda t: _coerce(t, html_is_b64=False), batch_format="pyarrow")
     if fmt == "json":
         ds = ray.data.read_json(path)

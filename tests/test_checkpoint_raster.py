@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray
 import ray.data
@@ -86,6 +87,82 @@ class TestCheckpointResume:
         h1 = {r["partition_key"]: r["input_lineage_hash"] for r in r1}
         h2 = {r["partition_key"]: r["input_lineage_hash"] for r in r2}
         assert h1 == h2  # row-order independent
+        signed = pa.table({"x": pa.array([0.0, -0.0, 1.0])})
+        assert cp._lineage_hash(signed) == cp._lineage_hash(signed.take([1, 0, 2]))
+
+    def test_partition_files_keep_input_schema(self, tmp_path):
+        """Each partition file has the input's Arrow schema: an int64
+        column with nulls in one partition stays int64 (not double), and
+        nested, binary and timestamp columns keep their types."""
+        import glob
+
+        import pyarrow.parquet as pq
+
+        n = 60
+        t = pa.table(
+            {
+                "key": pa.array([f"k{i % 3}" for i in range(n)], pa.string()),
+                "cnt": pa.array([None if i % 3 == 0 and i % 2 else i for i in range(n)], pa.int64()),
+                "ts": pa.array(np.arange(n, dtype=np.int64) * 1_000_003, pa.timestamp("us")),
+                "ids": pa.array([list(range(i % 4)) for i in range(n)], pa.list_(pa.int64())),
+                "blob": pa.array([bytes([i % 256]) * (i % 5) for i in range(n)], pa.binary()),
+                "name": pa.array([f"n{i}" for i in range(n)], pa.string()),
+            }
+        )
+        out = str(tmp_path / "schema")
+        cp.checkpointed_write(ray.data.from_arrow(t), out, "key", stage="schema")
+        assert cp.completed_keys(out) == {"k0", "k1", "k2"}
+        files = sorted(glob.glob(f"{out}/part=*/data.parquet"))
+        assert [os.path.basename(os.path.dirname(f)) for f in files] == ["part=k0", "part=k1", "part=k2"]
+        assert pq.read_table(files[0]).column("cnt").null_count > 0
+        for f in files:
+            assert pq.read_schema(f).remove_metadata() == t.schema
+        back = pa.concat_tables(pq.read_table(f) for f in files).sort_by("name")
+        assert back.equals(t.sort_by("name"))
+
+    def test_one_task_failure_stops_only_its_partition(self, tmp_path):
+        """A one-block input puts every partition in one write task; a
+        failure on one key still lets every sibling commit, and a resume
+        rewrites only the failed key."""
+        df = _docs()
+        ds = ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
+        assert ds.num_blocks() == 1
+        out = str(tmp_path / "domain")
+        victim = int(df["part_key"].min())
+        with pytest.raises(RuntimeError, match=rf"keys \[{victim}\]"):
+            cp.checkpointed_write(ds, out, "part_key", stage="s4", fail_on_keys={victim})
+        done = cp.completed_keys(out)
+        assert done == set(df["part_key"].unique()) - {victim}
+        with open(cp.manifest_path(out)) as f:
+            assert {json.loads(l)["partition_key"] for l in f} == done
+        mtimes = {k: os.stat(f"{out}/part={k}/data.parquet").st_mtime_ns for k in done}
+
+        rows = cp.checkpointed_write(ds, out, "part_key", stage="s4")
+        assert [r["partition_key"] for r in rows] == [victim]
+        for k in done:
+            assert os.stat(f"{out}/part={k}/data.parquet").st_mtime_ns == mtimes[k]
+        back = cp.read_checkpointed(out).to_pandas().sort_values("doc_id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(back[list(df.columns)], df)
+
+    def test_lineage_hash_stable_across_processes(self):
+        """The hash of a string-column partition is the same in two fresh
+        interpreters (it hashes values, never object addresses)."""
+        import subprocess
+        import sys
+
+        code = (
+            "import pyarrow as pa\n"
+            "from osm_search_ray.sources.checkpoint import _lineage_hash\n"
+            "t = pa.table({'k': pa.array([3, 1, 2, 1]), 'url': pa.array(['https://x/' + str(i) * i for i in range(4)])})\n"
+            "print(_lineage_hash(t))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        hashes = [
+            subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True, text=True, check=True).stdout
+            for _ in range(2)
+        ]
+        assert len(hashes[0].strip()) == 16
+        assert hashes[0] == hashes[1]
 
 
 class TestRaster:

@@ -25,7 +25,6 @@ sys.path.insert(0, "/root/repo")
 import numpy as np
 import pandas as pd
 import ray
-import ray.data
 
 
 def main() -> None:
@@ -38,9 +37,10 @@ def main() -> None:
     from osm_search_ray.pipelines import text_index as ti
     from osm_search_ray.pipelines.search_docs import FIELD_QUERIES, SPELL_QUERIES, _lm_state
     from osm_search_ray.serving import start_disk_session, start_segmented_session, start_session
+    from osm_search_ray.sources.readers import read_pq
 
     t0 = time.perf_counter()
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"])
+    ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "source"])
     index = ti.build_text_index(ds, text_cols={"text": 0, "source": 1})
     _, corrector = _lm_state(sf_dir)
     store_dir = "/tmp/osm_search_ray_bench_serving_store"
