@@ -2409,6 +2409,9 @@ def props_extract_stats(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         ex = pc.extract_regex(batch.column("props"), pattern=COVISIT_ITEM_RE)
         k = pc.struct_field(ex, "item").cast(pa.int64())
+        if k.null_count:
+            # groupby would drop these rows silently; the SQL twin's CAST errors
+            raise ValueError(f"props_extract_stats: {k.null_count} props value(s) without an integer \"k\"")
         df = pd.DataFrame(
             {
                 "event_type": batch.column("event_type").to_pandas(),
@@ -2487,10 +2490,17 @@ def rolling_distinct_users(sf_dir: str):
     # the already-distinct partials would also do; the span is calendar-
     # bounded either way)
     meta = _pq.read_metadata(f"{sf_dir}/events.parquet")
-    # row-group statistics give exact ts min/max without a data scan
+    # row-group statistics give exact ts min/max without a data scan; a
+    # writer may omit them, and then one scan of the ts column does
     ts_idx = meta.schema.names.index("ts")
-    tmin = min(meta.row_group(i).column(ts_idx).statistics.min for i in range(meta.num_row_groups))
-    tmax = max(meta.row_group(i).column(ts_idx).statistics.max for i in range(meta.num_row_groups))
+    stats = [meta.row_group(i).column(ts_idx).statistics for i in range(meta.num_row_groups)]
+    if stats and all(st is not None and st.has_min_max for st in stats):
+        tmin, tmax = min(st.min for st in stats), max(st.max for st in stats)
+    else:
+        import pyarrow.compute as pc
+
+        mm = pc.min_max(_pq.read_table(f"{sf_dir}/events.parquet", columns=["ts"]).column("ts").cast(pa.int64()))
+        tmin, tmax = mm["min"].as_py(), mm["max"].as_py()
     import datetime as _dt
 
     def _us(v):

@@ -176,17 +176,18 @@ SCORERS = {
 }
 
 
-def rank_scores(scores: pd.Series, k: int, offset: int = 0) -> pd.DataFrame:
-    """Descending score, ties by ascending doc_id; slice [offset, offset+k).
-    numpy lexsort (score desc via sign flip is exact; the tie-break makes
-    the order total, so it matches the old stable pandas mergesort)."""
+def rank_slice(scores: pd.Series, k: int, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_id, score) arrays in rank order: descending score, ties by
+    ascending doc_id; slice [offset, offset+k). numpy lexsort (score desc
+    via sign flip is exact; the tie-break makes the order total, so it
+    matches the old stable pandas mergesort)."""
     s = scores.to_numpy(dtype=np.float64)
     d = scores.index.to_numpy()
     o = np.lexsort((d, -s))[offset : offset + k]
-    return pd.DataFrame(
-        {
-            "doc_id": d[o],
-            "score": s[o],
-            "rank": np.arange(1, len(o) + 1, dtype=np.int64),
-        }
-    )
+    return d[o], s[o]
+
+
+def rank_scores(scores: pd.Series, k: int, offset: int = 0) -> pd.DataFrame:
+    """rank_slice as a (doc_id, score, rank) frame."""
+    d, s = rank_slice(scores, k, offset)
+    return pd.DataFrame({"doc_id": d, "score": s, "rank": np.arange(1, len(d) + 1, dtype=np.int64)})

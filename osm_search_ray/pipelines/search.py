@@ -21,19 +21,72 @@ from ..stages.joins import default_actor_pool
 import ray.data
 
 from ..functions.tokenize import tokenize
-from .scoring import SCORERS, rank_scores
+from .scoring import SCORERS, rank_slice
 from .text_index import TextIndex
 
 
-class SearchCore:
+class _Core:
+    """The request loop every search core shares: tokenize (+ spell-correct),
+    look the tokens up (``_point_query`` → term ids + their postings), score,
+    rank, and frame the whole batch once."""
+
+    def _tokens(self, text: str) -> list[str]:
+        toks = tokenize(text)
+        return self.corrector.correct_query(toks) if self.corrector is not None else toks
+
+    def _score(self, text: str, scoring: str) -> "pd.Series | None":
+        """Per-doc scores of one query, None when no query term is indexed."""
+        toks = self._tokens(text)
+        ids, posts = self._point_query(toks)
+        tids = [ids[t] for t in toks if t in ids]
+        return SCORERS[scoring](posts, tids, self.globals) if tids else None
+
+    def search_rows(self, rows: list[dict]) -> pd.DataFrame:
+        """rows: dicts with query_id, text[, scoring, top_k, offset] →
+        (doc_id, score, rank, query_id) frame, queries in input order,
+        each in rank order.
+
+        The dtypes are those of one frame per query concatenated: a query
+        with no indexed term counts as an empty float64 frame, which makes
+        doc_id and rank float64 for the whole batch (and an empty batch is
+        all float64)."""
+        qids, counts, docs, scores = [], [], [], []
+        unmatched = not rows
+        for row in rows:
+            k = int(row.get("top_k") or 10)
+            offset = int(row.get("offset") or 0)
+            s = self._score(row["text"], row.get("scoring") or "BM25_FIELD")
+            qids.append(row["query_id"])
+            if s is None:
+                unmatched = True
+                counts.append(0)
+                continue
+            d, v = rank_slice(s, k, offset)
+            docs.append(d)
+            scores.append(v)
+            counts.append(len(d))
+        n = np.asarray(counts, dtype=np.int64)
+        rank = np.arange(1, n.sum() + 1, dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
+        doc = np.concatenate(docs) if docs else np.empty(0, np.float64)
+        if unmatched:
+            doc, rank = doc.astype(np.float64), rank.astype(np.float64)
+        return pd.DataFrame(
+            {
+                "doc_id": doc,
+                "score": np.concatenate(scores) if scores else np.empty(0, np.float64),
+                "rank": rank,
+                "query_id": np.repeat(pd.Series(qids).to_numpy(), n) if rows else np.empty(0, np.float64),
+            }
+        )
+
+
+class SearchCore(_Core):
     """The in-RAM query engine: vocab + per-term postings + globals (+
     optional spell corrector). Shared by the batch actor-pool stage
-    (SearchActor) and the long-lived serving session (serving.QuerySession)
-    — one scoring implementation, two execution shapes."""
+    (SearchActor) and the serving session (serving.Session) — one scoring
+    implementation, two execution shapes."""
 
     def __init__(self, index: TextIndex, corrector=None):
-        import numpy as np
-
         self.vocab = index.vocab()
         self.postings = index.postings
         self.globals = index.globals
@@ -53,40 +106,15 @@ class SearchCore:
         """Postings rows for the query's terms as a dict of numpy arrays —
         per-term contiguous slices concatenated in first-seen query-term
         order (exactly the row order of the old per-term concat)."""
-        import numpy as np
-
         t = np.asarray(list(dict.fromkeys(tids)), dtype=np.int64)
         lo = np.searchsorted(self._sorted_tids, t, side="left")
         hi = np.searchsorted(self._sorted_tids, t, side="right")
         idx = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]) if len(t) else np.empty(0, np.int64)
         return {c: v[idx] for c, v in self._cols.items()}
 
-    def _terms_of(self, text: str) -> list[int]:
-        toks = tokenize(text)
-        if self.corrector is not None:
-            toks = self.corrector.correct_query(toks)
-        return [self.vocab[t] for t in toks if t in self.vocab]
-
-    def search_rows(self, rows: list[dict]) -> pd.DataFrame:
-        """rows: dicts with query_id, text[, scoring, top_k, offset] →
-        (query_id, doc_id, score, rank) frame."""
-        out = []
-        for row in rows:
-            tids = self._terms_of(row["text"])
-            scoring = row.get("scoring") or "BM25_FIELD"
-            k = int(row.get("top_k") or 10)
-            offset = int(row.get("offset") or 0)
-            if tids:
-                scores = SCORERS[scoring](self._gather(tids), tids, self.globals)
-                ranked = rank_scores(scores, k, offset)
-            else:
-                ranked = pd.DataFrame({"doc_id": [], "score": [], "rank": []})
-            ranked["query_id"] = row["query_id"]
-            out.append(ranked)
-        res = pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-            {"doc_id": [], "score": [], "rank": [], "query_id": []}
-        )
-        return res
+    def _score(self, text: str, scoring: str) -> "pd.Series | None":
+        tids = [self.vocab[t] for t in self._tokens(text) if t in self.vocab]
+        return SCORERS[scoring](self._gather(tids), tids, self.globals) if tids else None
 
 
 class SearchActor:
@@ -226,7 +254,7 @@ def autocomplete_search(
     return queries.map_batches(AutocompleteActor, batch_format="pyarrow", concurrency=concurrency or default_actor_pool())
 
 
-class DiskSearchCore:
+class DiskSearchCore(_Core):
     """S11 when the index EXCEEDS RAM: nothing index-sized is resident —
     each request resolves its tokens through the footer-pruned dictionary
     buckets and reads only those terms' postings buckets/row-groups
@@ -246,30 +274,11 @@ class DiskSearchCore:
         self.globals = {k: v for k, v in self.reader.meta.items() if k not in ("postings_buckets", "n_terms")}
         self.corrector = corrector
 
-    def search_rows(self, rows: list[dict]) -> pd.DataFrame:
-        out = []
-        for row in rows:
-            toks = tokenize(row["text"])
-            if self.corrector is not None:
-                toks = self.corrector.correct_query(toks)
-            ids, posts = self.reader.point_query(toks)
-            tids = [ids[t] for t in toks if t in ids]
-            scoring = row.get("scoring") or "BM25_FIELD"
-            k = int(row.get("top_k") or 10)
-            offset = int(row.get("offset") or 0)
-            if tids:
-                scores = SCORERS[scoring](posts, tids, self.globals)
-                ranked = rank_scores(scores, k, offset)
-            else:
-                ranked = pd.DataFrame({"doc_id": [], "score": [], "rank": []})
-            ranked["query_id"] = row["query_id"]
-            out.append(ranked)
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-            {"doc_id": [], "score": [], "rank": [], "query_id": []}
-        )
+    def _point_query(self, toks) -> tuple[dict, pd.DataFrame]:
+        return self.reader.point_query(toks)
 
 
-class SegmentedSearchCore:
+class SegmentedSearchCore(_Core):
     """Serving over a SEGMENTED index (pipelines/index_segments): one
     resident StoreReader per COMMITTED segment, and ``refresh()`` picks up
     newly added segments WITHOUT a rebuild or restart — the operational
@@ -330,25 +339,3 @@ class SegmentedSearchCore:
         import numpy as _np
 
         return found, pd.DataFrame({c: pd.Series(dtype=_np.int64) for c in _POSTING_COLS})
-
-    def search_rows(self, rows: list[dict]) -> pd.DataFrame:
-        out = []
-        for row in rows:
-            toks = tokenize(row["text"])
-            if self.corrector is not None:
-                toks = self.corrector.correct_query(toks)
-            ids, posts = self._point_query(toks)
-            tids = [ids[t] for t in toks if t in ids]
-            scoring = row.get("scoring") or "BM25_FIELD"
-            k = int(row.get("top_k") or 10)
-            offset = int(row.get("offset") or 0)
-            if tids:
-                scores = SCORERS[scoring](posts, tids, self.globals)
-                ranked = rank_scores(scores, k, offset)
-            else:
-                ranked = pd.DataFrame({"doc_id": [], "score": [], "rank": []})
-            ranked["query_id"] = row["query_id"]
-            out.append(ranked)
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame(
-            {"doc_id": [], "score": [], "rank": [], "query_id": []}
-        )

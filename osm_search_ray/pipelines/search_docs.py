@@ -723,7 +723,7 @@ def _sql_spell_search() -> str:
     """Exact oracle for spell_search (r04): SQL-computed corrections
     (sp_best) feed the BM25+ scorer with DISTINCT corrected terms (the
     scorer's map-iteration semantics; never-corrected OOV typos drop via
-    the postings join, mirroring SearchCore._terms_of's vocab filter)."""
+    the postings join, mirroring SearchCore._score's vocab filter)."""
     from ..state.lm import sql_lm_count_ctes
 
     prefix = sql_lm_count_ctes() + ",\n" + _sql_spell_ctes() + ",\n"

@@ -208,7 +208,6 @@ def build_term_dictionary(raw: "ray.data.Dataset") -> tuple["ray.data.Dataset", 
 def build_text_index_ds(
     docs: "ray.data.Dataset | None" = None,
     text_cols: dict[str, int] | None = None,
-    mapper_concurrency=2,
     term_id_strategy: str = "auto",
     raw: "ray.data.Dataset | None" = None,
 ) -> TextIndexDS:
@@ -281,7 +280,11 @@ def build_text_index_ds(
     )
     if use_broadcast:
         # broadcast-small-side: ONE O(vocab) pull of the term column,
-        # ray.put once, searchsorted per batch inside the actor pool
+        # ray.put once, searchsorted per batch inside the actor pool — one
+        # actor per postings block at most, so none idles after pulling
+        # the term array
+        from ..stages.joins import default_actor_pool
+
         terms_sorted = np.asarray(
             terms_ds.to_pandas()["term"].to_numpy(dtype=object) if n_terms else [], dtype=object
         )
@@ -290,7 +293,7 @@ def build_text_index_ds(
             _TermIdMapper,
             fn_constructor_kwargs=dict(terms_ref=terms_ref),
             batch_format="pyarrow",
-            concurrency=mapper_concurrency,
+            concurrency=max(1, min(raw.num_blocks(), default_actor_pool()[1])),
         )
     else:
         # dictionary too large for any single heap → hash-partitioned

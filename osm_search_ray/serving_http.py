@@ -1,16 +1,20 @@
-"""Thin HTTP facade over the serving sessions — the last reference surface
+"""Thin HTTP facade over a serving session — the last reference surface
 (/root/reference/pkg/http/http-router/controllers/searcher.go:46-57 routes
 ``/api/search``, ``/api/autocomplete``, ``/api/reverse`` onto the resident
 searcher; VERDICT r4 "What's missing" item 2).
 
 Design: a dependency-free WSGI app (stdlib ``wsgiref``) that maps the three
-routes onto an in-process :class:`~osm_search_ray.serving.QuerySession`
-(search + autocomplete — the actor holds the index, this layer only
+routes onto a :class:`~osm_search_ray.serving.Session` (search +
+autocomplete — the session holds the index, this layer only
 parses/serializes) and an in-RAM (doc_id, lat, lon) table for 1-NN reverse
 geocoding (the reference's ReverseGeocoding, pkg/searcher/searcher.go:
-679-686, equally a point lookup over the resident index). The HTTP layer
-adds NO query semantics — every response is produced by the same code paths
-the batch queries certify, so the facade needs only e2e plumbing tests.
+679-686, equally a point lookup over the resident index). An unnamed
+session runs its core in this process, so a request never leaves it; a
+named session (a Ray actor) works too, at one actor round trip per call.
+The server is single-threaded, so the core and the GeofenceRegistry are
+never used concurrently. The HTTP layer adds NO query semantics — every
+response is produced by the same code paths the batch queries certify, so
+the facade needs only e2e plumbing tests.
 
 Usage (driver owns the Ray session, as everywhere in this repo)::
 
@@ -124,7 +128,7 @@ class GeofenceRegistry:
 
 
 class ServingApp:
-    """WSGI callable mapping the reference's routes onto a live QuerySession
+    """WSGI callable mapping the reference's routes onto a live Session
     (search/autocomplete), an in-RAM geo table (reverse) and an optional
     GeofenceRegistry (geofence CRUD + point status)."""
 
@@ -147,14 +151,11 @@ class ServingApp:
         if not text:
             raise ValueError("missing q")
         df = self.session.search(pd.DataFrame({"query_id": [0], "text": [text]}))
-        df = df.sort_values("rank").iloc[offset:]
-        return {
-            "query": text,
-            "results": [
-                {k: (int(v) if isinstance(v, (np.integer, int)) else v) for k, v in row.items()}
-                for row in df.drop(columns=["query_id"]).to_dict("records")
-            ],
-        }
+        # one query: rows come in rank order; numpy scalars become Python
+        # ints/floats via tolist
+        names = [c for c in df.columns if c != "query_id"]
+        cols = [df[c].to_numpy().tolist()[offset:] for c in names]
+        return {"query": text, "results": [dict(zip(names, vals)) for vals in zip(*cols)]}
 
     def _autocomplete(self, qs) -> dict:
         text = qs.get("q", [""])[0]

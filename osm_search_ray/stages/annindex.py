@@ -151,59 +151,72 @@ def ivf_store_topk(
     """Query the on-disk IVF store: compute each query's nprobe nearest
     lists, READ ONLY those partitions (the files of unprobed lists are
     never opened), score with the exact partial-top-k combiner."""
-    import json
+    return IvfStoreCore(out_dir).topk(queries, k, nprobe)
 
-    meta = json.load(open(f"{out_dir}/meta.json"))
-    id_col = meta["id_col"]
-    dim = meta["dim"]
-    vec_dtype = np.dtype(meta.get("vec_dtype", "float32"))  # pre-r03 stores packed float32
-    centroids = np.load(f"{out_dir}/centroids.npy")
-    qm = queries["mat"].astype(np.float64)
-    qn = qm / np.linalg.norm(qm, axis=1, keepdims=True)
-    qd = sq_dists(qm, centroids)
-    probes = np.argsort(qd, axis=1)[:, :nprobe]
-    files = probed_list_files(out_dir, np.unique(probes))
-    if not files:
-        return pd.DataFrame({"query_id": pd.Series(dtype=np.int64), id_col: pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)})
-    ds = read_pq(files)
-    state_ref = ray.put((queries["vec_id"], qn, probes))
 
-    def score(batch: pa.Table) -> pa.Table:
-        qids, qn_, probes_ = ray.get(state_ref)
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()), id_col: pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
-        ids = batch.column(id_col).to_numpy()
-        lids = batch.column("list_id").to_numpy()
-        blobs = batch.column("vecblob").to_pylist()
-        mat = np.frombuffer(b"".join(blobs), dtype=vec_dtype).reshape(len(ids), dim).astype(np.float64)
-        mn = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-        sims = qn_ @ mn.T
-        out_q, out_v, out_s = [], [], []
-        for qi in range(len(qids)):
-            mask = np.isin(lids, probes_[qi]) & (ids != qids[qi])
-            s_m, ids_m = sims[qi][mask], ids[mask]
-            if len(s_m) > k:
-                part = np.argpartition(-s_m, k)[:k]
-                s_m, ids_m = s_m[part], ids_m[part]
-            out_q.append(np.full(len(ids_m), qids[qi], dtype=np.int64))
-            out_v.append(ids_m)
-            out_s.append(s_m)
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_v)),
-                "cosine": pa.array(np.concatenate(out_s)),
-            }
-        )
+class IvfStoreCore:
+    """An open IVF store, the serving core of an ANN session: meta and
+    centroids load ONCE; each ``topk`` computes its probes and reads only
+    the probed list partitions."""
 
-    partial = ds.map_batches(score, batch_format="pyarrow")
+    def __init__(self, out_dir: str):
+        import json
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", id_col, "rank"]]
+        self.out_dir = out_dir
+        with open(f"{out_dir}/meta.json") as f:
+            self.meta = json.load(f)
+        self.centroids = np.load(f"{out_dir}/centroids.npy")
 
-    return partial.groupby("query_id").map_groups(final, batch_format="pandas").to_pandas()
+    def topk(self, queries: dict, k: int, nprobe: int = 4) -> pd.DataFrame:
+        id_col = self.meta["id_col"]
+        dim = self.meta["dim"]
+        vec_dtype = np.dtype(self.meta.get("vec_dtype", "float32"))  # pre-r03 stores packed float32
+        qm = queries["mat"].astype(np.float64)
+        qn = qm / np.linalg.norm(qm, axis=1, keepdims=True)
+        qd = sq_dists(qm, self.centroids)
+        probes = np.argsort(qd, axis=1)[:, :nprobe]
+        files = probed_list_files(self.out_dir, np.unique(probes))
+        if not files:
+            return pd.DataFrame({"query_id": pd.Series(dtype=np.int64), id_col: pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)})
+        ds = read_pq(files)
+        state_ref = ray.put((queries["vec_id"], qn, probes))
+
+        def score(batch: pa.Table) -> pa.Table:
+            qids, qn_, probes_ = ray.get(state_ref)
+            if batch.num_rows == 0:
+                return pa.table({"query_id": pa.array([], pa.int64()), id_col: pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
+            ids = batch.column(id_col).to_numpy()
+            lids = batch.column("list_id").to_numpy()
+            blobs = batch.column("vecblob").to_pylist()
+            mat = np.frombuffer(b"".join(blobs), dtype=vec_dtype).reshape(len(ids), dim).astype(np.float64)
+            mn = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+            sims = qn_ @ mn.T
+            out_q, out_v, out_s = [], [], []
+            for qi in range(len(qids)):
+                mask = np.isin(lids, probes_[qi]) & (ids != qids[qi])
+                s_m, ids_m = sims[qi][mask], ids[mask]
+                if len(s_m) > k:
+                    part = np.argpartition(-s_m, k)[:k]
+                    s_m, ids_m = s_m[part], ids_m[part]
+                out_q.append(np.full(len(ids_m), qids[qi], dtype=np.int64))
+                out_v.append(ids_m)
+                out_s.append(s_m)
+            return pa.table(
+                {
+                    "query_id": pa.array(np.concatenate(out_q)),
+                    id_col: pa.array(np.concatenate(out_v)),
+                    "cosine": pa.array(np.concatenate(out_s)),
+                }
+            )
+
+        partial = ds.map_batches(score, batch_format="pyarrow")
+
+        def final(g: pd.DataFrame) -> pd.DataFrame:
+            g = g.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k).copy()
+            g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
+            return g[["query_id", id_col, "rank"]]
+
+        return partial.groupby("query_id").map_groups(final, batch_format="pandas").to_pandas()
 
 
 def ivf_cosine_topk(

@@ -6,6 +6,8 @@ import duckdb
 import numpy as np
 import pandas as pd
 
+from osm_search_ray.sources.readers import read_pq
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -69,7 +71,7 @@ def test_pagerank_distributed_path_equals_small_regime():
     from osm_search_ray.pipelines.graph import pagerank
     from osm_search_ray.sources import derived as dv
 
-    nodes = ray.data.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"]).map_batches(
+    nodes = read_pq(f"{SF}/documents.parquet", columns=["doc_id"]).map_batches(
         lambda b: b.rename_columns(["id"]), batch_format="pyarrow"
     )
     dist = (
@@ -281,7 +283,7 @@ def test_ppr_regimes_agree_and_mass_concentrates_on_seeds():
     from osm_search_ray.sources import derived as dv
 
     n = pq.ParquetFile(f"{SF}/documents.parquet").metadata.num_rows
-    nodes = ray.data.read_parquet(f"{SF}/documents.parquet", columns=["doc_id"]).map_batches(
+    nodes = read_pq(f"{SF}/documents.parquet", columns=["doc_id"]).map_batches(
         lambda b: b.rename_columns(["id"]), batch_format="pyarrow"
     )
     n_seeds = (n + PPR_SEED_MOD - 1) // PPR_SEED_MOD

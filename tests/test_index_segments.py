@@ -12,12 +12,14 @@ import pyarrow.parquet as pq
 import pytest
 import ray.data
 
+from osm_search_ray.sources.readers import read_pq
+
 SF = "/root/testdata/sf0.001"
 TOKENS = ["batch", "stream", "window", "spark", "key", "zzz-not-a-term"]
 
 
 def _docs():
-    return ray.data.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    return read_pq(f"{SF}/documents.parquet", columns=["doc_id", "text"])
 
 
 def _half(par):
@@ -151,7 +153,7 @@ def test_merge_multifield_segments_equals_scratch(tmp_path):
     cols = {"text": 0, "source": 1}
 
     def docs2():
-        return ray.data.read_parquet(
+        return read_pq(
             f"{SF}/documents.parquet", columns=["doc_id", "text", "source"]
         )
 
@@ -191,7 +193,7 @@ def test_tokenless_segment_merges(tmp_path):
         f"{d}/documents.parquet",
     )
     idx = str(tmp_path / "idx")
-    add_segment(idx, ray.data.read_parquet(f"{d}/documents.parquet"), {"text": 0}, in_ram=True)
+    add_segment(idx, read_pq(f"{d}/documents.parquet"), {"text": 0}, in_ram=True)
     add_segment(idx, _half(0), {"text": 0}, in_ram=True)
     merged = str(tmp_path / "merged")
     merge_segments(idx, merged)

@@ -7,6 +7,7 @@ import ray.data
 
 from osm_search_ray.pipelines import ingest
 from osm_search_ray.sources.fixtures import GOLDEN_PLACES, SPIMI_NODE_NAMES, SPIMI_WAY_NAMES, make_osm_tables
+from osm_search_ray.sources.readers import read_pq
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +20,9 @@ def osm_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def ingested(osm_dir):
-    nodes = ray.data.read_parquet(f"{osm_dir}/nodes.parquet")
-    ways = ray.data.read_parquet(f"{osm_dir}/ways.parquet")
-    rels = ray.data.read_parquet(f"{osm_dir}/relations.parquet")
+    nodes = read_pq(f"{osm_dir}/nodes.parquet")
+    ways = read_pq(f"{osm_dir}/ways.parquet")
+    rels = read_pq(f"{osm_dir}/relations.parquet")
     docs, boundaries, streets = ingest.ingest_documents(nodes, ways, rels, num_buckets=4)
     return docs.to_pandas(), boundaries.to_pandas(), streets.to_pandas()
 
@@ -48,9 +49,9 @@ def test_docs_contents(ingested):
 
 def test_doc_ids_deterministic(osm_dir, ingested):
     docs1, _, _ = ingested
-    nodes = ray.data.read_parquet(f"{osm_dir}/nodes.parquet")
-    ways = ray.data.read_parquet(f"{osm_dir}/ways.parquet")
-    rels = ray.data.read_parquet(f"{osm_dir}/relations.parquet")
+    nodes = read_pq(f"{osm_dir}/nodes.parquet")
+    ways = read_pq(f"{osm_dir}/ways.parquet")
+    rels = read_pq(f"{osm_dir}/relations.parquet")
     docs2, _, _ = ingest.ingest_documents(nodes, ways, rels, num_buckets=2)  # different bucketing
     a = docs1.sort_values("doc_id")[["doc_id", "name", "orig_id"]].reset_index(drop=True)
     b = docs2.to_pandas().sort_values("doc_id")[["doc_id", "name", "orig_id"]].reset_index(drop=True)

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 
 from osm_search_ray.pipelines import simsearch as ss
+from osm_search_ray.sources.readers import read_pq
 
 SF = "/root/testdata/sf0.001"
 
@@ -51,7 +52,7 @@ class TestKnnGraph:
         from osm_search_ray.functions.arrowutil import vec_matrix
         from osm_search_ray.stages.annindex import sq_dists, train_centroids
 
-        emb = ray.data.read_parquet(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
+        emb = read_pq(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
         cent = train_centroids(emb, "embedding", ss.KNN_GRAPH_NLIST)
         t = pq.read_table(f"{SF}/embeddings.parquet", columns=["vec_id", "embedding"])
         ids = t.column("vec_id").to_numpy().astype(np.int64)

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -33,6 +34,20 @@ class TestPropsExtractStats:
             .reset_index(drop=True)
         )
         pd.testing.assert_frame_equal(got.astype(want.dtypes.to_dict()), want)
+
+    def test_malformed_props_row_raises(self, tmp_path):
+        """A props value without an integer "k" must fail loudly (the SQL
+        twin's CAST errors) instead of vanishing in the groupby."""
+        from osm_search_ray.pipelines.events import props_extract_stats
+
+        t = pq.read_table(f"{SF}/events.parquet", columns=["event_type", "props"])
+        props = t.column("props").to_pylist()
+        props[7] = '{"k": "seven"}'
+        i = t.schema.get_field_index("props")
+        pq.write_table(t.set_column(i, "props", pa.array(props, pa.string())), tmp_path / "events.parquet")
+        # the ValueError reaches the driver wrapped in Ray's task error
+        with pytest.raises(Exception, match=r"ValueError: props_extract_stats: 1 props value"):
+            props_extract_stats(str(tmp_path)).to_pandas()
 
 
 class TestUnpivotRevenue:
@@ -130,6 +145,19 @@ class TestRollingDistinctUsers:
             rows.append((w, n))
         want = pd.DataFrame(rows, columns=["day_bucket", "n_distinct_users"]).astype(np.int64)
         pd.testing.assert_frame_equal(got.astype(want.dtypes.to_dict()), want)
+
+    def test_file_without_statistics(self, tmp_path):
+        """A file written without row-group statistics gives the same
+        series (the day span falls back to a scan of ts)."""
+        from osm_search_ray.pipelines.events import rolling_distinct_users
+
+        t = pq.read_table(f"{SF}/events.parquet", columns=["ts", "user_id"])
+        pq.write_table(t, tmp_path / "events.parquet", write_statistics=False, row_group_size=300)
+        meta = pq.read_metadata(tmp_path / "events.parquet")
+        assert meta.num_row_groups > 1 and meta.row_group(0).column(0).statistics is None
+        got = rolling_distinct_users(str(tmp_path)).to_pandas().sort_values("day_bucket").reset_index(drop=True)
+        want = rolling_distinct_users(SF).to_pandas().sort_values("day_bucket").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want)
 
     def test_exactly_once_per_user_window(self):
         """The min-day-in-window fan-out rule never double-counts: every

@@ -12,6 +12,7 @@ from osm_search_ray.pipelines import text_index as ti
 from osm_search_ray.pipelines.scoring import SCORERS, rank_scores
 from osm_search_ray.state.lm import NGramLM, count_ngrams
 from osm_search_ray.state.spell import SpellCorrector, edit_distance_candidates
+from osm_search_ray.sources.readers import read_pq
 
 DOCS = pd.DataFrame(
     {
@@ -248,7 +249,7 @@ class TestSpell:
         from osm_search_ray.pipelines.search_docs import QUERIES, SPELL_QUERIES
         from osm_search_ray.state.lm import build_ngram_lm
 
-        ds = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"])
+        ds = read_pq("/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"])
         lm = build_ngram_lm(ds, text_cols=["text"])
         sc = SpellCorrector.build(lm.full_vocab, lm)
         expected = {qid: tokenize(text) for qid, text in QUERIES}
@@ -516,7 +517,7 @@ class TestSymSpellDeletesIndex:
 
         from osm_search_ray.state.lm import build_ngram_lm
 
-        ds = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"])
+        ds = read_pq("/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"])
         lm = build_ngram_lm(ds, text_cols=["text"])
         fast = SpellCorrector.build(lm.full_vocab, lm, use_deletes_index=True)
         slow = SpellCorrector.build(lm.full_vocab, lm, use_deletes_index=False)

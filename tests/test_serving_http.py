@@ -75,6 +75,20 @@ class TestHttpFacade:
         got_ids = [r["doc_id"] for r in body["results"]]
         assert got_ids == want["doc_id"].astype(int).tolist()
 
+    def test_search_offset_keeps_rank_order_and_types(self, server):
+        session, port = server
+        status, body = _get(port, "/api/search?q=jalan&offset=2")
+        assert status == 200
+        want = session.search(pd.DataFrame({"query_id": [0], "text": ["jalan"]})).sort_values("rank")
+        want = want[want["rank"] >= 3]
+        assert len(want) >= 1
+        res = body["results"]
+        assert [list(r) for r in res] == [["doc_id", "score", "rank"]] * len(res)
+        assert [r["rank"] for r in res] == list(range(3, 3 + len(want)))
+        assert [r["doc_id"] for r in res] == want["doc_id"].tolist()
+        assert [r["score"] for r in res] == want["score"].tolist()
+        assert all(type(r["doc_id"]) is int and type(r["rank"]) is int and type(r["score"]) is float for r in res)
+
     def test_autocomplete_matches_session(self, server):
         session, port = server
         status, body = _get(port, "/api/autocomplete?q=kebun%20bina")

@@ -10,6 +10,8 @@ import pytest
 import pyarrow as pa
 import ray.data
 
+from osm_search_ray.sources.readers import read_pq
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -62,7 +64,7 @@ class TestChunkOps:
     def test_explode_matches_python(self):
         from osm_search_ray.pipelines.webcorpus import explode_chunks
 
-        docs = ray.data.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+        docs = read_pq(f"{SF}/documents.parquet", columns=["doc_id", "text"])
         got = explode_chunks(docs).to_pandas().sort_values(["doc_id", "ci"]).reset_index(drop=True)
         raw = pd.read_parquet(f"{SF}/documents.parquet", columns=["doc_id", "text"])
         rows = []
