@@ -21,6 +21,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.readers import read_pq
+from ..sources.memo import memo, store_dir
 
 from ..functions.hashing import hash64_str
 
@@ -183,9 +184,6 @@ sql_dedup_minhash = functools.cache(_sql_dedup_minhash)
 
 INCR_NEW_MOD = 10  # doc_id % 10 == 0 → the deterministic "new crawl" batch
 
-_MINHASH_STORE_CACHE: dict = {}
-
-
 def _mod_split(new: bool):
     """Batch filter selecting the deterministic corpus split: the 'new
     crawl' half (doc_id % INCR_NEW_MOD == 0) or the stored-corpus rest."""
@@ -198,21 +196,19 @@ def _mod_split(new: bool):
 
 
 def _minhash_store_dir(sf_dir: str) -> str:
-    """Build (once per corpus per process) the persisted LSH store for the
-    OLD portion of the corpus (doc_id % INCR_NEW_MOD != 0) and return its
-    directory — the search-store cache discipline (_cached_store_dir)."""
+    """Build (once per corpus) the persisted LSH store for the OLD portion
+    of the corpus (doc_id % INCR_NEW_MOD != 0) and return its directory."""
     from ..stages.dedup import build_minhash_store
-    from .search_docs import _cached_store_dir
 
-    def build(path: str, out_dir: str) -> None:
+    path = f"{sf_dir}/documents.parquet"
+
+    def build(out_dir: str) -> None:
         ds = read_pq(path, columns=["doc_id", "text"]).map_batches(
             _mod_split(new=False), batch_format="pyarrow"
         )
         build_minhash_store(ds, out_dir)
 
-    return _cached_store_dir(
-        _MINHASH_STORE_CACHE, "/tmp/osm_search_ray_minhash_store", sf_dir, {"text": 0}, "meta.json", build
-    )
+    return store_dir("minhash_store", [path], build)
 
 
 def dedup_incremental(sf_dir: str):
@@ -466,20 +462,15 @@ NGRAM_THRESHOLD_MICRO = 500_000  # keep pairs with jaccard >= 0.5
 NGRAM_MAX_OCC = 64  # per-gram distinct-doc cap (boilerplate guard, SQL-mirrored)
 NGRAM_SIZES_BROADCAST_LIMIT = 4_000_000  # per-doc size table broadcast cutover
 
-_KGRAMS_CACHE: dict = {}
-
-
 def _distinct_kgrams(sf_dir: str, n: int) -> "ray.data.Dataset":
     """DISTINCT (doc_id, ghash) token-n-gram table over documents —
-    materialized once per (sf_dir, n) and shared by dedup_ngram,
+    materialized once per (corpus, n) and shared by dedup_ngram,
     dedup_ngram_prefix and containment_pairs (identical prep in all
-    three; the _und_edges memo discipline, one corpus at a time)."""
-    key = (sf_dir, n)
-    if key not in _KGRAMS_CACHE:
-        if any(k[0] != sf_dir for k in _KGRAMS_CACHE):
-            _KGRAMS_CACHE.clear()
-        ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-        grams = ds.map_batches(
+    three)."""
+    path = f"{sf_dir}/documents.parquet"
+
+    def build():
+        return read_pq(path, columns=["doc_id", "text"]).map_batches(
             lambda b: _kgram_explode(b, n), batch_format="pyarrow"
         ).map_batches(
             lambda b: pa.Table.from_pandas(
@@ -487,9 +478,9 @@ def _distinct_kgrams(sf_dir: str, n: int) -> "ray.data.Dataset":
                 preserve_index=False,
             ),
             batch_format="pyarrow",
-        )
-        _KGRAMS_CACHE[key] = grams.materialize()
-    return _KGRAMS_CACHE[key]
+        ).materialize()
+
+    return memo("kgrams", [path], build, n)
 
 
 def dedup_ngram(

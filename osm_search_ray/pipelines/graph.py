@@ -30,6 +30,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 from ..sources.readers import read_pq
+from ..sources.memo import memo
 
 from ..sources import derived as dv
 from ..stages.joins import hash_partitioned_apply
@@ -506,33 +507,26 @@ def triangle_counts(sf_dir: str):
     return _triangles_cached(sf_dir)
 
 
-_TRIANGLES_CACHE: dict = {}
-
-
 def _triangles_cached(sf_dir: str):
-    """Per-node triangle counts, materialized and cached per sf_dir so
+    """Per-node triangle counts, materialized and memoized per corpus so
     triangle_counts and clustering_coeff share one wedge-close pass within
-    a suite process (same memo discipline as _und_edges below)."""
-    if sf_dir not in _TRIANGLES_CACHE:
-        _TRIANGLES_CACHE.clear()  # hold ONE corpus at a time
-        _TRIANGLES_CACHE[sf_dir] = _triangles_from_und(_und_edges(sf_dir)).materialize()
-    return _TRIANGLES_CACHE[sf_dir]
-
-
-_UND_EDGES_CACHE: dict = {}
+    a suite process."""
+    return memo(
+        "triangles",
+        [f"{sf_dir}/documents.parquet"],
+        lambda: _triangles_from_und(_und_edges(sf_dir)).materialize(),
+    )
 
 
 def _und_edges(sf_dir: str):
     """Distinct undirected (a < b) link edges — one (a, b)-keyed exchange,
-    materialized and cached per sf_dir so triangle_counts, clustering_coeff,
-    degree_assortativity and link_prediction share one pass within a suite
-    process (the same memo pattern search_docs' _STORE_CACHE uses; blocks
-    live in the object store, one corpus held at a time)."""
-    from ..stages.joins import hash_partitioned_apply
+    materialized and memoized per corpus so triangle_counts,
+    clustering_coeff, degree_assortativity and link_prediction share one
+    pass within a suite process (blocks live in the object store)."""
+    return memo("und_edges", [f"{sf_dir}/documents.parquet"], lambda: _und_edges_build(sf_dir))
 
-    if sf_dir in _UND_EDGES_CACHE:
-        return _UND_EDGES_CACHE[sf_dir]
 
+def _und_edges_build(sf_dir: str):
     edges = dv.link_edges(sf_dir)
 
     def canon(batch: pa.Table) -> pa.Table:
@@ -547,11 +541,9 @@ def _und_edges(sf_dir: str):
     def dedup_pairs(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates()
 
-    _UND_EDGES_CACHE.clear()  # hold ONE corpus at a time
-    _UND_EDGES_CACHE[sf_dir] = hash_partitioned_apply(
+    return hash_partitioned_apply(
         edges.map_batches(canon, batch_format="pyarrow"), ["a", "b"], dedup_pairs
     ).materialize()
-    return _UND_EDGES_CACHE[sf_dir]
 
 
 def _triangles_from_und(und):

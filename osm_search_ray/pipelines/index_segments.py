@@ -263,13 +263,18 @@ def _segment_raw(seg_dir: str) -> "ray.data.Dataset":
         )
 
     if has_terms and use_broadcast:
+        # read_pq may coalesce small parts into fewer blocks than parts, so
+        # the pool starts at one actor and grows to at most one per part
+        from ..stages.joins import default_actor_pool
+
+        n_parts = len(_g.glob(os.path.join(seg_dir, "postings", "part=*")))
         posts = (
             _read_parts(f"{seg_dir}/postings", columns=_POSTING_COLS)
             .map_batches(
                 _TermUnmapper,
                 fn_constructor_kwargs=dict(terms_ref=terms_ref),
                 batch_format="pyarrow",
-                concurrency=2,
+                concurrency=(1, max(1, min(n_parts, default_actor_pool()[1]))),
             )
             .map_batches(project, batch_format="pyarrow")
         )

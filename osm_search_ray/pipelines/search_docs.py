@@ -52,6 +52,7 @@ import pyarrow.compute as pc
 import ray
 from ..stages.joins import default_actor_pool
 from ..sources.readers import read_pq
+from ..sources.memo import memo, store_dir
 import ray.data
 
 from ..functions.tokenize import SQL_TOKENIZE, tokenize, tokenize_array
@@ -196,31 +197,22 @@ def _scan_matches(sf_dir: str, fields: dict[str, int], qterms: list[str]):
     return matches, n_docs, len_sums, df_map
 
 
-_LM_STATE_CACHE: dict = {}
-
-
 def _lm_state(sf_dir: str):
     """(lm, corrector) for a corpus, built once per process — the serving
     discipline (reference: the server loads the LM/FST once at boot, not
     per request). spell_search and autocomplete share the SAME corpus
     state, and repeated driver/bench invocations in one process skip the
-    rebuild. Cache key includes the documents file mtime so a changed
-    corpus invalidates."""
-    import os
-
-    import ray.data
-
+    rebuild."""
     from ..state.lm import build_ngram_lm
     from ..state.spell import SpellCorrector
 
     path = f"{sf_dir}/documents.parquet"
-    key = (sf_dir, os.path.getmtime(path))
-    if key not in _LM_STATE_CACHE:
-        ds = read_pq(path, columns=["doc_id", "text"])
-        lm = build_ngram_lm(ds, text_cols=["text"])
-        _LM_STATE_CACHE.clear()  # hold ONE corpus at a time
-        _LM_STATE_CACHE[key] = (lm, SpellCorrector.build(lm.full_vocab, lm))
-    return _LM_STATE_CACHE[key]
+
+    def build():
+        lm = build_ngram_lm(read_pq(path, columns=["doc_id", "text"]), text_cols=["text"])
+        return lm, SpellCorrector.build(lm.full_vocab, lm)
+
+    return memo("lm_state", [path], build)
 
 
 _EMPTY_RESULT = pd.DataFrame(
@@ -752,37 +744,7 @@ def _sql_spell_store_search() -> str:
 sql_spell_store_search = functools.cache(_sql_spell_store_search)
 
 
-_STORE_CACHE: dict = {}
-
-
 _STORE_DISTRIBUTED_BYTES = 64 * 1024 * 1024
-
-
-def _cached_store_dir(cache: dict, root: str, sf_dir: str, text_cols: dict[str, int], done_marker: str, build) -> str:
-    """Shared per-process store cache: key by (corpus, mtime, field-set),
-    tag the /tmp dir by the same triple, build once (skipped when
-    ``done_marker`` already exists on disk), and hold ONE corpus at a time —
-    evicted stores' directories are reclaimed so stale index trees
-    (comparable in size to their corpus) don't pile up under /tmp as test
-    data is regenerated (r3 code review)."""
-    import hashlib
-    import shutil
-
-    path = f"{sf_dir}/documents.parquet"
-    mtime = os.path.getmtime(path)
-    fields_sig = ",".join(f"{c}:{f}" for c, f in sorted(text_cols.items()))
-    key = (sf_dir, mtime, fields_sig)
-    if key not in cache:
-        tag = hashlib.sha1(f"{sf_dir}:{mtime}:{fields_sig}".encode()).hexdigest()[:12]
-        out_dir = f"{root}/{tag}"
-        if not os.path.exists(f"{out_dir}/{done_marker}"):
-            build(path, out_dir)
-        for k in [k for k in cache if k[:2] != key[:2]]:
-            if cache[k] != out_dir:
-                shutil.rmtree(cache[k], ignore_errors=True)
-            del cache[k]
-        cache[key] = out_dir
-    return cache[key]
 
 
 def _text_store_dir(sf_dir: str, text_cols: dict[str, int] | None = None) -> str:
@@ -799,17 +761,16 @@ def _text_store_dir(sf_dir: str, text_cols: dict[str, int] | None = None) -> str
     from .text_index import build_text_index, build_text_index_ds, save_text_index, save_text_index_ds
 
     text_cols = text_cols or {"text": 0}
+    path = f"{sf_dir}/documents.parquet"
 
-    def build(path: str, out_dir: str) -> None:
+    def build(out_dir: str) -> None:
         ds = read_pq(path, columns=["doc_id"] + list(text_cols))
         if os.path.getsize(path) < _STORE_DISTRIBUTED_BYTES:
             save_text_index(build_text_index(ds, text_cols=text_cols), out_dir)
         else:
             save_text_index_ds(build_text_index_ds(ds, text_cols=text_cols), out_dir)
 
-    return _cached_store_dir(
-        _STORE_CACHE, "/tmp/osm_search_ray_text_store", sf_dir, text_cols, "globals.json", build
-    )
+    return store_dir("text_store", [path], build, tuple(sorted(text_cols.items())))
 
 
 def _store_search(sf_dir: str, text_cols: dict[str, int], term_lists: list[tuple[int, list[str]]], scorer):
@@ -861,16 +822,15 @@ def bm25_store_search(sf_dir: str):
     return _store_search(sf_dir, {"text": 0}, term_lists, score_bm25_plus)
 
 
-_SEG_STORE_CACHE: dict = {}
-
-
 def _segmented_store_dir(sf_dir: str, text_cols: dict[str, int]) -> str:
     """Two-segment incremental index over documents (doc_id parity split —
     the 'first half indexed, second half arrived later' scenario), built via
-    index_segments.add_segment and cached per corpus like _text_store_dir."""
+    index_segments.add_segment, built once per corpus × field-set."""
     from .index_segments import add_segment
 
-    def build(path: str, out_dir: str) -> None:
+    path = f"{sf_dir}/documents.parquet"
+
+    def build(out_dir: str) -> None:
         import pyarrow.compute as pc
 
         ds = read_pq(path, columns=["doc_id"] + list(text_cols))
@@ -888,9 +848,7 @@ def _segmented_store_dir(sf_dir: str, text_cols: dict[str, int]) -> str:
             )
             add_segment(out_dir, half, text_cols, in_ram=in_ram)
 
-    return _cached_store_dir(
-        _SEG_STORE_CACHE, "/tmp/osm_search_ray_seg_store", sf_dir, text_cols, "seg-001/globals.json", build
-    )
+    return store_dir("seg_store", [path], build, tuple(sorted(text_cols.items())))
 
 
 def segmented_search(sf_dir: str):
@@ -994,9 +952,6 @@ def spell_search_docs(sf_dir: str):
     return out.sort_values(["query_id", "rank"], kind="mergesort").reset_index(drop=True)
 
 
-_LM_SCORES_CACHE: dict = {}
-
-
 def lm_doc_scores(sf_dir: str):
     """Per-document 4-gram LM log-probability — the quality-filter-by-
     perplexity pass of a training-data pipeline, using the corpus's own
@@ -1010,10 +965,12 @@ def lm_doc_scores(sf_dir: str):
     Output (doc_id, n_tokens, logprob_milli, is_finite) — docs containing
     a below-threshold (<UNK>-trained) word score -inf exactly like the
     reference (ngram_lm.go:300-318), reported as is_finite=0 with a
-    sentinel logprob. The SCORED Dataset is memoized per sf_dir (object-store
+    sentinel logprob. The SCORED Dataset is memoized per corpus (object-store
     blocks) so ccnet_buckets shares this scan instead of re-running it."""
-    if sf_dir in _LM_SCORES_CACHE:
-        return _LM_SCORES_CACHE[sf_dir]
+    return memo("lm_doc_scores", [f"{sf_dir}/documents.parquet"], lambda: _lm_doc_scores_build(sf_dir))
+
+
+def _lm_doc_scores_build(sf_dir: str):
     lm, _ = _lm_state(sf_dir)
     lm_ref = ray.put(lm)
     NEG_SENTINEL = -(2**62)
@@ -1041,11 +998,7 @@ def lm_doc_scores(sf_dir: str):
             )
 
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    _LM_SCORES_CACHE.clear()  # hold ONE corpus at a time
-    _LM_SCORES_CACHE[sf_dir] = ds.map_batches(
-        Scorer, batch_format="pyarrow", concurrency=default_actor_pool()
-    ).materialize()
-    return _LM_SCORES_CACHE[sf_dir]
+    return ds.map_batches(Scorer, batch_format="pyarrow", concurrency=default_actor_pool()).materialize()
 
 
 def _sql_lm_doc_scores() -> str:
@@ -1230,7 +1183,6 @@ SQL_PHRASE_DOCS_SEARCH = _sql_phrase()
 
 # ------------------------------------------- positional store / phrase serving
 
-_POS_STORE_CACHE: dict = {}
 POS_BUCKETS = 32
 
 
@@ -1275,14 +1227,8 @@ def build_positional_store(path: str, out_dir: str) -> None:
 
 
 def _pos_store_dir(sf_dir: str) -> str:
-    return _cached_store_dir(
-        _POS_STORE_CACHE,
-        "/tmp/osm_search_ray_pos_store",
-        sf_dir,
-        {"text": 0},
-        "_STAGE_COMPLETE.json",
-        build_positional_store,
-    )
+    path = f"{sf_dir}/documents.parquet"
+    return store_dir("pos_store", [path], lambda out_dir: build_positional_store(path, out_dir))
 
 
 def phrase_store_search(sf_dir: str):

@@ -15,6 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import ray
 from ..sources.readers import read_pq
+from ..sources.memo import memo, store_dir
 import ray.data
 
 from ..functions.arrowutil import vec_matrix
@@ -251,16 +252,18 @@ c{i + 1} AS MATERIALIZED (
 sql_kmeans_clusters = functools.cache(_sql_kmeans_clusters)
 
 
-_QUANT_STORE_CACHE: dict = {}
-
-
 def build_quantized_store(sf_dir: str, out_dir: str) -> None:
     """INT8 scalar quantization of the embedding column — the storage-scale
     path for 100 TB embedding corpora (4× smaller than float32, 8× than
     float64; dot products stay a numpy matmul after dequantize). Symmetric
     per-vector scheme: scale = max|x|/127, q = rint(x/scale) ∈ [−127, 127],
     elementwise |x − q·scale| ≤ scale/2 (unit-tested). One streaming pass,
-    written as partitioned Parquet (vec_id, qvec int8 blob, scale, dim)."""
+    written as partitioned Parquet (vec_id, qvec int8 blob, scale, dim).
+    Any earlier output in ``out_dir`` is removed first: a rerun after a
+    crashed write must not append to the partial files."""
+    import shutil
+
+    shutil.rmtree(out_dir, ignore_errors=True)
     ds = read_pq(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
 
     def quantize(batch: pa.Table) -> pa.Table:
@@ -289,25 +292,10 @@ def build_quantized_store(sf_dir: str, out_dir: str) -> None:
 
 
 def _quant_store_dir(sf_dir: str) -> str:
-    """Build-once-per-process quantized store (keyed by corpus mtime, same
-    discipline as search_docs._text_store_dir, evicted stores reclaimed)."""
-    import hashlib
-    import os
-    import shutil
-
-    path = f"{sf_dir}/embeddings.parquet"
-    key = (sf_dir, os.path.getmtime(path))
-    if key not in _QUANT_STORE_CACHE:
-        tag = hashlib.sha1(f"{sf_dir}:{key[1]}".encode()).hexdigest()[:12]
-        out_dir = f"/tmp/osm_search_ray_quant_store/{tag}"
-        if not os.path.exists(f"{out_dir}"):
-            build_quantized_store(sf_dir, out_dir)
-        for k in [k for k in _QUANT_STORE_CACHE if k != key]:
-            if _QUANT_STORE_CACHE[k] != out_dir:
-                shutil.rmtree(_QUANT_STORE_CACHE[k], ignore_errors=True)
-            del _QUANT_STORE_CACHE[k]
-        _QUANT_STORE_CACHE[key] = out_dir
-    return _QUANT_STORE_CACHE[key]
+    """The quantized store of ``sf_dir``'s embeddings, built once per corpus."""
+    return store_dir(
+        "quant_store", [f"{sf_dir}/embeddings.parquet"], lambda out_dir: build_quantized_store(sf_dir, out_dir)
+    )
 
 
 def _int8_codes(col, dim: int) -> np.ndarray:
@@ -433,9 +421,6 @@ KNN_GRAPH_K = 5
 KNN_GRAPH_NLIST = 8
 
 
-_KNN_GRAPH_CACHE: dict = {}
-
-
 def knn_graph(sf_dir: str, k: int = KNN_GRAPH_K, nlist: int = KNN_GRAPH_NLIST, nprobe: int | None = None):
     """All-vectors k-NN graph — top-k cosine neighbors for EVERY vector
     (the SemDeDup / kNN-LM / dedup-graph building block), built as a
@@ -456,21 +441,20 @@ def knn_graph(sf_dir: str, k: int = KNN_GRAPH_K, nlist: int = KNN_GRAPH_NLIST, n
     Exchange budget: n x (1 + nprobe) fixed-width rows; no corpus-sized
     broadcast anywhere.  Output (src_id, neighbor_id, rank).
 
-    The result is memoized per (sf_dir, k, nlist, nprobe) — materialized
+    The result is memoized per (corpus, k, nlist, nprobe) — materialized
     object-store blocks — so mutual_knn_pairs reuses the graph instead of
-    rebuilding it (the _und_edges memo discipline)."""
-    import pyarrow.parquet as pq
+    rebuilding it."""
+    if nprobe is None:
+        nprobe = nlist
+    path = f"{sf_dir}/embeddings.parquet"
+    return memo("knn_graph", [path], lambda: _knn_graph(path, k, nlist, nprobe), k, nlist, nprobe)
 
-    from ..functions.arrowutil import vec_matrix
+
+def _knn_graph(path: str, k: int, nlist: int, nprobe: int):
     from ..stages.annindex import sq_dists, train_centroids
     from ..stages.joins import hash_partitioned_apply
 
-    if nprobe is None:
-        nprobe = nlist
-    memo_key = (sf_dir, k, nlist, nprobe)
-    if memo_key in _KNN_GRAPH_CACHE:
-        return _KNN_GRAPH_CACHE[memo_key]
-    emb = read_pq(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    emb = read_pq(path, columns=["vec_id", "embedding"])
     centroids = train_centroids(emb, "embedding", nlist)
     dim = centroids.shape[1]
 
@@ -542,12 +526,7 @@ def knn_graph(sf_dir: str, k: int = KNN_GRAPH_K, nlist: int = KNN_GRAPH_NLIST, n
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g[["src_id", "neighbor_id", "rank"]]
 
-    if any(mk[0] != sf_dir for mk in _KNN_GRAPH_CACHE):
-        _KNN_GRAPH_CACHE.clear()  # hold ONE corpus at a time
-    _KNN_GRAPH_CACHE[memo_key] = (
-        partial.groupby("src_id").map_groups(final, batch_format="pandas").materialize()
-    )
-    return _KNN_GRAPH_CACHE[memo_key]
+    return partial.groupby("src_id").map_groups(final, batch_format="pandas").materialize()
 
 
 SQL_KNN_GRAPH = f"""

@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 from ..sources.readers import read_pq
+from ..sources.memo import memo
 
 from ..sources import derived as dv
 from ..stages.joins import hash_partitioned_apply
@@ -667,29 +668,18 @@ def _local_cc(u: np.ndarray, v: np.ndarray) -> dict:
     return {x: find(x) for x in parent}
 
 
-_DUP_CLUSTERS_CACHE: dict = {}
-
-
 def dup_clusters(sf_dir: str, min_docs: int = MIN_DOCS, max_docs: int = MAX_CLIQUE,
                  max_levels: int = 10):
     """Memoizing wrapper: the suite consumes the cluster table from TWO
     queries (dup_clusters itself and split_leakage_safe) in one driver
-    process; a single-entry cache keyed by (corpus, mtime, params) returns
-    the MATERIALIZED labels so the contraction CC runs once per corpus —
-    the same per-process serve-cache discipline as the text-store caches
-    (search_docs._cached_store_dir)."""
-    import os
+    process; the MATERIALIZED labels are memoized per (corpus, params) so
+    the contraction CC runs once per corpus."""
 
-    key = (sf_dir, os.path.getmtime(f"{sf_dir}/documents.parquet"), min_docs, max_docs, max_levels)
-    hit = _DUP_CLUSTERS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _dup_clusters_impl(sf_dir, min_docs, max_docs, max_levels)
-    if isinstance(out, ray.data.Dataset):
-        out = out.materialize()
-    _DUP_CLUSTERS_CACHE.clear()
-    _DUP_CLUSTERS_CACHE[key] = out
-    return out
+    def build():
+        out = _dup_clusters_impl(sf_dir, min_docs, max_docs, max_levels)
+        return out.materialize() if isinstance(out, ray.data.Dataset) else out
+
+    return memo("dup_clusters", [f"{sf_dir}/documents.parquet"], build, min_docs, max_docs, max_levels)
 
 
 def _dup_clusters_impl(sf_dir: str, min_docs: int = MIN_DOCS, max_docs: int = MAX_CLIQUE,

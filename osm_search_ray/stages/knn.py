@@ -82,7 +82,6 @@ def broadcast_knn(
     id_col: str = "doc_id",
     radius_km: float | None = None,
     batch_size: int = 65536,
-    concurrency=None,
 ) -> "ray.data.Dataset":
     """Exact kNN of each broadcast query against the full point dataset.
 
@@ -98,7 +97,7 @@ def broadcast_knn(
         ),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or default_actor_pool(2),
+        concurrency=default_actor_pool(),
     )
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:

@@ -958,7 +958,7 @@ def test_positional_store_crash_resume(tmp_path, monkeypatch):
         assert os.path.getmtime(f"{out}/part={k}/data.parquet") == mtimes[k]
 
     monkeypatch.setattr(sd, "PHRASE_QUERIES", [(1, "a a"), (2, "a b")])
-    monkeypatch.setitem(sd._POS_STORE_CACHE, *list({(str(tmp_path), os.path.getmtime(str(tmp_path / "documents.parquet")), "text:0"): out}.items())[0])
+    monkeypatch.setattr(sd, "_pos_store_dir", lambda sf: out)
     store = sd.phrase_store_search(str(tmp_path)).to_pandas()
     scan = sd.phrase_docs_search(str(tmp_path)).to_pandas()
     key = ["query_id", "doc_id"]

@@ -64,16 +64,6 @@ def synth(sf_dir: str, k: int, out_dir: str) -> None:
     pq.write_table(pa.concat_tables(tables), f"{out_dir}/documents.parquet")
 
 
-def clear_caches() -> None:
-    from osm_search_ray.pipelines import dedup_pipelines as dp
-    from osm_search_ray.pipelines import graph, search_docs
-
-    dp._KGRAMS_CACHE.clear()
-    graph._UND_EDGES_CACHE.clear()
-    graph._TRIANGLES_CACHE.clear()
-    search_docs._LM_SCORES_CACHE.clear()
-
-
 def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
     scales = [int(x) for x in sys.argv[2:]] or [1, 4, 16]
@@ -86,6 +76,7 @@ def main() -> None:
 
     from osm_search_ray.pipelines import dedup_pipelines as dp
     from osm_search_ray.pipelines import textops
+    from osm_search_ray.sources import memo
 
     pipelines = {
         "token_counts": textops.token_counts,  # scan baseline
@@ -111,7 +102,7 @@ def main() -> None:
                 # design, not a scaling failure
                 results[name][str(k)] = {"sec": None, "out_rows": None, "skipped": "LSH_BUCKET_CAP guard (toy vocabulary)"}
                 continue
-            clear_caches()
+            memo.clear()
             t0 = time.perf_counter()
             out = fn(d)
             n_out = out.materialize().count()
