@@ -505,7 +505,7 @@ def dedup_ngram(
     doc-keyed counting exchanges → two doc_id-bucketed joins attach set
     sizes. Every exchanged row is int64s; gram strings never leave the
     explode (2⁻⁶⁴ hash-collision bound, as dedup_substring)."""
-    from ..stages.joins import attach_columns, hash_bucket_join, hash_partitioned_apply
+    from ..stages.joins import attach_columns, hash_partitioned_apply
 
     grams = _distinct_kgrams(sf_dir, n)
 
@@ -1085,7 +1085,7 @@ def dedup_ngram_prefix(
     vectorized sorted-set intersections. Every exchange row is int64s or
     one blob per doc. Output (doc_a, doc_b, jaccard_micro), round-half-up,
     filtered at ``threshold_micro`` — dedup_ngram's exact contract."""
-    from ..stages.joins import attach_columns, hash_bucket_join, hash_partitioned_apply
+    from ..stages.joins import attach_columns, hash_partitioned_apply
 
     grams = _distinct_kgrams(sf_dir, n)
 
@@ -1179,8 +1179,6 @@ def dedup_ngram_prefix(
         cand, ["doc_a", "doc_b"], lambda df: df.drop_duplicates(), num_parts=16
     )
 
-    from ..stages.joins import attach_blob_column
-
     a_side = blobs.map_batches(
         lambda t: pa.table({"doc_a": t.column("doc_id"), "blob": t.column("blob")}),
         batch_format="pyarrow",
@@ -1189,8 +1187,8 @@ def dedup_ngram_prefix(
         lambda t: pa.table({"doc_b": t.column("doc_id"), "blob": t.column("blob")}),
         batch_format="pyarrow",
     )
-    j = attach_blob_column(pairs, a_side, on="doc_a", blob_col="blob", out_col="g_a")
-    j = attach_blob_column(j, b_side, on="doc_b", blob_col="blob", out_col="g_b")
+    j = attach_columns(pairs, a_side, on="doc_a", cols={"blob": "g_a"})
+    j = attach_columns(j, b_side, on="doc_b", cols={"blob": "g_b"})
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         cols = ["doc_a", "doc_b", "jaccard_micro"]
@@ -1247,7 +1245,7 @@ def containment_pairs(
     emits both directions of each undirected overlap row and applies the
     integer round-half-up micro scaling, so the oracle is bit-exact.
     Output (src, dst, containment_micro)."""
-    from ..stages.joins import attach_columns, hash_bucket_join, hash_partitioned_apply
+    from ..stages.joins import attach_columns, hash_partitioned_apply
 
     grams = _distinct_kgrams(sf_dir, n)
 

@@ -106,7 +106,7 @@ def sessionize(sf_dir: str, gap_minutes: int = 30):
 
     from ..stages.joins import grouped_apply_bounded
 
-    return grouped_apply_bounded(ds, "user_id", per_user, num_parts=64)
+    return grouped_apply_bounded(ds, "user_id", per_user)
 
 
 SQL_SESSIONIZE = """
@@ -167,7 +167,7 @@ def purchase_attribution(sf_dir: str):
 
     from ..stages.joins import grouped_apply_bounded
 
-    return grouped_apply_bounded(ds, "user_id", per_user, num_parts=64)
+    return grouped_apply_bounded(ds, "user_id", per_user)
 
 
 SQL_PURCHASE_ATTRIBUTION = """
@@ -548,7 +548,7 @@ def purchase_view_window(sf_dir: str):
 
     from ..stages.joins import grouped_apply_bounded
 
-    return grouped_apply_bounded(ds, "user_id", per_user, num_parts=64)
+    return grouped_apply_bounded(ds, "user_id", per_user)
 
 
 SQL_PURCHASE_VIEW_WINDOW = """
@@ -631,7 +631,7 @@ def events_cumulative(sf_dir: str):
 
     from ..stages.joins import grouped_apply_bounded
 
-    return grouped_apply_bounded(ds, "user_id", per_user, num_parts=64)
+    return grouped_apply_bounded(ds, "user_id", per_user)
 
 
 SQL_EVENTS_CUMULATIVE = """

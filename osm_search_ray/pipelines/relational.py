@@ -340,16 +340,14 @@ def join_lineitem_orders_bucketed(sf_dir: str):
 
     li = read_pq(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"])
     orders = read_pq(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"])
-    # size the shuffle to the data: the native join spins up one shuffle
-    # actor per partition, a FIXED ramp cost (~0.5 s/partition on this
-    # host) that dwarfs small inputs — 16 hardcoded buckets made this the
-    # slowest relational query (9 s at sf0.01; 4 buckets: 2.7 s). Target
+    # size the exchange to the data: every partition is one Ray group
+    # with a fixed per-group cost, which dwarfs small inputs. Target
     # ~256 MB in-memory per partition (parquet ~4× expansion), floor 4,
     # cap 1024 (the write-partition limit, plenty at 100 TB where the cap
-    # gives ~100 GB partitions — raise per-partition memory, not actors).
+    # gives ~100 GB partitions — raise per-partition memory, not groups).
     est = (os.path.getsize(f"{sf_dir}/lineitem.parquet") + os.path.getsize(f"{sf_dir}/orders.parquet")) * 4
     nb = int(min(1024, max(4, est // (256 << 20) + 1)))
-    joined = hash_bucket_join(li, orders, on="l_orderkey", right_on="o_orderkey", num_buckets=nb, use_native=True)
+    joined = hash_bucket_join(li, orders, on="l_orderkey", right_on="o_orderkey", num_buckets=nb)
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()

@@ -859,6 +859,4 @@ def spimi_postings_lists(docs: "ray.data.Dataset", text_col: str = "text", id_co
 
     from ..stages.joins import grouped_apply_bounded
 
-    return grouped_apply_bounded(
-        docs.map_batches(explode, batch_format="pyarrow"), "term", collect, num_parts=64
-    )
+    return grouped_apply_bounded(docs.map_batches(explode, batch_format="pyarrow"), "term", collect)

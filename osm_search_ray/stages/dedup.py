@@ -290,7 +290,7 @@ def _verify_minhash_pairs(
 
     At 10^12-doc scale both inputs are Datasets and the exchanges are
     bounded by |candidate pairs| + 2×|signatures| bucket-hashed rows."""
-    from .joins import attach_columns, hash_bucket_join
+    from .joins import attach_columns
 
     def blob_side(side: str):
         def fn(t: pa.Table) -> pa.Table:
@@ -752,7 +752,7 @@ def ngram_jaccard_pairs_ds(
     negligible against corpus-scale dedup thresholds (the driver verifier
     compares tuples directly; both are tested equal on real text).
     ``pairs`` must carry (doc_a, doc_b), globally deduplicated."""
-    from .joins import attach_columns, hash_bucket_join
+    from .joins import attach_columns
 
     def gram_side(side: str):
         def fn(t: pa.Table) -> pa.Table:
@@ -1040,7 +1040,7 @@ def _verify_cosine_pairs(
     `_verify_minhash_pairs` topology; see ordered_dot for why the order is
     fixed — bit-parity with the SQL oracle). Exchanges are bounded by
     |pairs| + 2×|vectors| bucket-hashed rows."""
-    from .joins import attach_columns, hash_bucket_join
+    from .joins import attach_columns
 
     def blob_side(side: str):
         def fn(t: pa.Table) -> pa.Table:

@@ -174,7 +174,7 @@ def fence_status_flow(
 
     from .joins import grouped_apply_bounded
 
-    return grouped_apply_bounded(points, "point_id", per_point, num_parts=64)
+    return grouped_apply_bounded(points, "point_id", per_point)
 
 
 def fence_status_incremental(
@@ -229,7 +229,7 @@ def fence_status_incremental(
     # micro-batch in this kvdb-analogue flow; the unbounded-log path is
     # fence_status_flow, which streams) so the status stream and the tiny
     # last-position side output share ONE group-apply execution
-    out = grouped_apply_bounded(new_points, "point_id", per_point, num_parts=64).materialize()
+    out = grouped_apply_bounded(new_points, "point_id", per_point).materialize()
     import ray.data as rd
 
     if out.count() == 0:

@@ -1,28 +1,215 @@
-"""Distributed join / indexing primitives the Dataset API doesn't ship.
+"""Distributed exchange / join / indexing primitives the Dataset API doesn't
+ship. Every wide step below is ONE exchange:
 
-  hash_bucket_join   both-sides-large equi-join: add ``bucket = key % B`` to
-                     both sides, union, groupby(bucket), pandas merge inside
-                     the group — the portable partitioned hash join
-                     (ray_guide.md 'Joins and lookups'). B chooses the
-                     shuffle granularity; skewed keys can be salted upstream.
+  _exchange              hash the key columns into ``__gpart`` (pandas'
+                         deterministic hash, stable across processes) and
+                         run one sort-based groupby over it — the only
+                         place in the repo that builds that exchange.
+  hash_partitioned_apply hand each WHOLE hash partition to a vectorized
+                         pandas kernel (partial aggregates, reduceat, ...).
+  grouped_apply_bounded  per-key pandas loop inside each partition — a Ray
+                         group costs ~ms, so keys share a bounded number
+                         of Ray groups.
+  hash_bucket_join       both-sides-large equi-join (inner/left, int or
+                         string key): both sides tagged with typed Arrow
+                         nulls, unioned, one exchange, one Arrow kernel
+                         per partition (ray_guide.md 'Joins and lookups').
+  attach_columns         the same join restricted to right payload
+                         columns, with a unique right key.
 
-  zip_with_index     deterministic dense 0..N-1 ids after a sort — replaces
-                     the reference's mutex-guarded arrival-order docID
-                     counter (pkg/index/indexer.go:196-216), which is
-                     nondeterministic under concurrency. Offsets are computed
-                     from per-block row counts (O(blocks) driver work, no
-                     data movement).
+  zip_with_index         deterministic dense 0..N-1 ids after a sort —
+                         replaces the reference's mutex-guarded
+                         arrival-order docID counter
+                         (pkg/index/indexer.go:196-216), which is
+                         nondeterministic under concurrency. Offsets are
+                         computed from per-block row counts (O(blocks)
+                         driver work, no data movement).
+  prefix_max_exclusive / prefix_sum_inclusive
+                         distributed scans over a sorted dataset, same
+                         per-block-carry shape as zip_with_index.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
+
+
+def _exchange(
+    inputs: list["ray.data.Dataset"], keys: list[str], fn, num_parts: int, batch_format: str
+) -> "ray.data.Dataset":
+    """Hash-partition the rows of ``inputs`` (one dataset, or the sides of a
+    tagged union) by ``keys`` into ``num_parts`` Ray groups and run ``fn``
+    once per WHOLE partition (``__gpart`` already dropped), in
+    ``batch_format``. Equal keys always share a partition."""
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        # an int column with a null turns float64 in pandas, which hashes
+        # every value differently — fill first so a key's partition never
+        # depends on its batch-mates (a null may share a key's partition)
+        key_t = batch.select(keys)
+        cols = [c.fill_null(0) if pa.types.is_integer(c.type) and c.null_count else c for c in key_t.columns]
+        h = pd.util.hash_pandas_object(pa.table(cols, names=keys).to_pandas(), index=False).to_numpy()
+        return batch.append_column("__gpart", pa.array((h % num_parts).astype(np.int32)))
+
+    def apply_partition(g):
+        return fn(g.drop(columns=["__gpart"]) if batch_format == "pandas" else g.drop_columns(["__gpart"]))
+
+    # hash each input before the union, so the hash fuses into its producer
+    parts = [ds.map_batches(add_part, batch_format="pyarrow") for ds in inputs]
+    both = parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+    return both.groupby("__gpart").map_groups(apply_partition, batch_format=batch_format)
+
+
+def hash_partitioned_apply(
+    ds: "ray.data.Dataset",
+    key: str | list[str],
+    partition_fn,
+    num_parts: int | None = None,
+) -> "ray.data.Dataset":
+    """Hash-partition rows by key into ``num_parts`` Ray groups and hand each
+    WHOLE partition to ``partition_fn(df) -> df`` — for fully-vectorized
+    per-partition kernels (reduceat over group boundaries etc.) where even an
+    in-process per-group loop is too slow. ``num_parts=None`` → the adaptive
+    CPU-proportional default (default_num_parts)."""
+    keys = [key] if isinstance(key, str) else list(key)
+    return _exchange([ds], keys, partition_fn, num_parts or default_num_parts(), "pandas")
+
+
+def grouped_apply_bounded(ds: "ray.data.Dataset", key: str | list[str], per_group_fn) -> "ray.data.Dataset":
+    """Per-key apply with a BOUNDED Ray-group count: a Ray group pays ~ms
+    Python overhead, catastrophic for >10k tiny groups (ways, doc names,
+    LSH buckets). Keys are hash-partitioned (hash_partitioned_apply,
+    adaptive width); real per-key grouping happens inside each partition
+    as an in-process pandas loop.
+
+    ``per_group_fn(sub_df) -> df`` — one pandas frame per key."""
+    keys = [key] if isinstance(key, str) else list(key)
+
+    def apply_partition(g: pd.DataFrame) -> pd.DataFrame:
+        outs = [per_group_fn(sub) for _, sub in g.groupby(keys, sort=False)]
+        outs = [o for o in outs if o is not None and len(o)]
+        if not outs:
+            # ALWAYS return the fn's empty-frame schema — a bare DataFrame()
+            # emits a schema-less block that breaks downstream Arrow ops
+            return per_group_fn(g.iloc[0:0])
+        return pd.concat(outs, ignore_index=True)
+
+    return hash_partitioned_apply(ds, keys, apply_partition)
+
+
+def _arrow_schema(ds: "ray.data.Dataset") -> tuple["ray.data.Dataset", dict[str, pa.DataType]]:
+    # pandas-block datasets (from_pandas, incl. EMPTY frames — a
+    # hypothesis-found edge) report numpy dtypes from schema(); force
+    # Arrow blocks so typed nulls can be built for every column
+    if not all(isinstance(t, pa.DataType) for t in ds.schema().types):
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    s = ds.schema()
+    return ds, dict(zip(s.names, s.types))
+
+
+def _key_type(t: pa.DataType) -> pa.DataType:
+    # pandas hashes an int32 -1 differently from an int64 -1: hash ONE type
+    if pa.types.is_integer(t):
+        return pa.int64()
+    return pa.string() if pa.types.is_string(t) or pa.types.is_large_string(t) else t
+
+
+def _tag(
+    t: pa.Table, side: int, key: str, key_type: pa.DataType, src: dict[str, str], types: dict[str, pa.DataType]
+) -> pa.Table:
+    """One side's rows of the tagged union: its own columns (output name →
+    source column in ``src``) at the dataset's type, every other column
+    typed nulls, plus the normalised ``__key`` and ``__side``."""
+    n = len(t)
+    cols = []
+    for name, typ in types.items():
+        if name not in src:
+            cols.append(pa.nulls(n, typ))
+            continue
+        c = t.column(src[name])
+        cols.append(c if c.type == typ or pa.types.is_null(typ) else c.cast(typ))
+    cols += [t.column(key).cast(key_type), pa.array(np.full(n, side, np.int8))]
+    return pa.Table.from_arrays(cols, list(types) + ["__key", "__side"])
+
+
+def _join_partition(t: pa.Table, l_names: list[str], r_names: list[str], how: str, unique_right: bool) -> pa.Table:
+    """Join one partition of the tagged union: each left row meets its
+    right matches in right-side order (left order kept — pandas.merge's
+    order); ``how="left"`` keeps an unmatched left row with null payload.
+    Keys become codes against the partition's distinct right keys, so int
+    and string keys share one path, and a null key never matches."""
+    is_r = pc.equal(t.column("__side"), 1)
+    lt, rt = t.filter(pc.invert(is_r)), t.filter(is_r)
+    uniq = pc.drop_null(pc.unique(rt.column("__key")))
+    lcode = pc.fill_null(pc.index_in(lt.column("__key"), value_set=uniq), -1).to_numpy()
+    rcode = pc.fill_null(pc.index_in(rt.column("__key"), value_set=uniq), -1).to_numpy()
+    counts = np.bincount(rcode[rcode >= 0], minlength=len(uniq))
+    if unique_right and (counts > 1).any():
+        dup = int((counts > 1).sum())
+        raise ValueError(f"attach_columns: {dup} duplicate right keys (the right key must be unique)")
+    order = np.argsort(np.where(rcode >= 0, rcode, len(uniq)), kind="stable")  # right rows grouped by code
+    n = np.append(counts, 0)[lcode]  # code -1 (no match) → 0
+    starts = np.append(np.cumsum(counts) - counts, 0)[lcode]
+    reps = n if how == "inner" else np.maximum(n, 1)
+    lidx = np.repeat(np.arange(len(lcode)), reps)
+    within = np.arange(len(lidx)) - np.repeat(np.cumsum(reps) - reps, reps)
+    hit = within < np.repeat(n, reps)
+    ridx = np.zeros(len(lidx), np.int64)
+    ridx[hit] = order[(np.repeat(starts, reps) + within)[hit]]
+    lo = lt.select(l_names).take(pa.array(lidx))
+    ro = rt.select(r_names).take(pa.array(ridx, mask=~hit))
+    return pa.Table.from_arrays(lo.columns + ro.columns, names=l_names + r_names)
+
+
+def _join(
+    left: "ray.data.Dataset",
+    right: "ray.data.Dataset",
+    on: str,
+    right_on: str,
+    how: str,
+    num_parts: int,
+    cols: dict[str, str] | None = None,
+) -> "ray.data.Dataset":
+    """The tagged-union join behind both public forms. ``cols`` (right
+    column → output name) is attach_columns' form: only those payload
+    columns, binary widened to large_binary, and a unique right key.
+    ``None`` keeps every right column (hash_bucket_join)."""
+    if how not in ("inner", "left"):
+        raise ValueError(f"how must be 'inner' or 'left', got {how!r}")
+    left, l_types = _arrow_schema(left)
+    right, r_types = _arrow_schema(right)
+    attach = cols is not None
+    if not attach:
+        cols = {n: n for n in r_types if n != on or on != right_on}
+    r_out = {}
+    for rc, oc in cols.items():
+        if rc not in r_types:
+            raise ValueError(f"right has no column {rc}")
+        if oc in l_types:
+            raise ValueError(f"left already has column {oc}")
+        # replicating per-key blobs across many left rows can exceed
+        # pa.binary()'s int32 offset range (2 GiB per array) inside one
+        # partition — widen to large_binary (int64 offsets) up front
+        r_out[oc] = pa.large_binary() if attach and pa.types.is_binary(r_types[rc]) else r_types[rc]
+    key_type = _key_type(l_types[on])
+    if pa.types.is_null(key_type):
+        key_type = _key_type(r_types[right_on])
+    types = {**l_types, **r_out}
+    l_src = {n: n for n in l_types}
+    r_src = {oc: rc for rc, oc in cols.items()}
+    sides = [
+        left.map_batches(lambda t: _tag(t, 0, on, key_type, l_src, types), batch_format="pyarrow"),
+        right.map_batches(lambda t: _tag(t, 1, right_on, key_type, r_src, types), batch_format="pyarrow"),
+    ]
+    l_names, r_names = list(l_types), list(r_out)
+    return _exchange(
+        sides, ["__key"], lambda t: _join_partition(t, l_names, r_names, how, attach), num_parts, "pyarrow"
+    )
 
 
 def hash_bucket_join(
@@ -32,119 +219,14 @@ def hash_bucket_join(
     num_buckets: int = 64,
     how: str = "inner",
     right_on: str | None = None,
-    use_native: bool = False,
 ) -> "ray.data.Dataset":
-    """Partitioned hash join of two datasets on an int64 OR string key
-    column (string keys bucket by pandas' deterministic hash — stable
-    across processes, same function grouped_apply_bounded uses).
-
-    ``use_native=True`` opts into this Ray version's hash-partitioned
-    ``Dataset.join`` — ONLY safe when both inputs have clean flat Arrow
-    schemas end-to-end (e.g. straight from read_parquet): upstream
-    map_groups stages can emit schema-less empty pandas blocks that crash
-    acero at EXECUTION time, past any plan-time guard. The explicit
-    bucket-union-groupby join below is the portable default (and the
-    reference implementation the native path is tested against). Column
-    sets of the two sides must be disjoint apart from the key.
-    """
-    right_on = right_on or on
-
-    def _native_safe(ds) -> bool:
-        # acero hash join rejects list/map/struct non-key columns at runtime
-        # (inside shuffle actors, past any plan-time try/except) — detect here
-        try:
-            s = ds.schema()
-            for t in s.types:
-                if not isinstance(t, pa.DataType) or pa.types.is_nested(t):
-                    return False
-            return True
-        except Exception:
-            return False
-
-    if use_native and hasattr(left, "join") and _native_safe(left) and _native_safe(right):
-        try:
-            joined = left.join(
-                right,
-                join_type=how,
-                num_partitions=num_buckets,
-                on=(on,),
-                right_on=(right_on,) if right_on != on else None,
-            )
-            if right_on != on:
-                # the native join drops the right key column; the portable
-                # fallback keeps it — restore it so both paths share a contract
-                joined = joined.map_batches(
-                    lambda t, _on=on, _ron=right_on: t.append_column(_ron, t.column(_on)),
-                    batch_format="pyarrow",
-                )
-            return joined
-        except Exception:
-            pass  # fall through to the portable implementation
-    lcols = set(left.schema().names)
-    rcols = set(right.schema().names)
-    overlap = (lcols & rcols) - {on} if on == right_on else (lcols & rcols)
-    if overlap:
-        raise ValueError(f"overlapping non-key columns: {overlap}")
-
-    def key_side(side: int, key: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            col = batch.column(key)
-            if pa.types.is_integer(col.type):
-                b = col.to_numpy(zero_copy_only=False).astype(np.int64) % num_buckets
-            else:  # string / other: deterministic cross-process hash
-                h = pd.util.hash_pandas_object(col.to_pandas(), index=False).to_numpy()
-                b = (h % num_buckets).astype(np.int64)
-            batch = batch.append_column("__bucket", pa.array(b))
-            return batch.append_column("__side", pa.array(np.full(len(batch), side, dtype=np.int8)))
-
-        return fn
-
-    l_k = left.map_batches(key_side(0, on), batch_format="pyarrow")
-    r_k = right.map_batches(key_side(1, right_on), batch_format="pyarrow")
-
-    # widen to a common column set for union (pandas: missing cols → None,
-    # no Arrow type juggling for object/list columns)
-    l_names = list(left.schema().names)
-    r_names = [n for n in right.schema().names if n not in lcols]
-    all_cols = l_names + r_names + ["__bucket", "__side"]
-
-    def widen(fn_cols):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            for n in fn_cols:
-                if n not in df.columns:
-                    df[n] = None
-            return df[all_cols]
-
-        return fn
-
-    both = l_k.map_batches(widen(all_cols), batch_format="pandas").union(
-        r_k.map_batches(widen(all_cols), batch_format="pandas")
-    )
-    out_names = l_names + r_names
-
-    # primitive dtypes to restore after the union (widening with None turns
-    # int64 key/value columns into object dtype inside the mixed blocks)
-    dtype_map: dict[str, str] = {}
-    for side in (left, right):
-        s = side.schema()
-        for name, t in zip(s.names, s.types):
-            if isinstance(t, pa.DataType) and (pa.types.is_integer(t) or pa.types.is_floating(t)):
-                dtype_map[name] = t.to_pandas_dtype()
-
-    def join_group(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == 0][l_names]
-        rg = g[g["__side"] == 1][[right_on] + r_names] if right_on not in r_names else g[g["__side"] == 1][r_names]
-        if right_on == on:
-            merged = lg.merge(rg, on=on, how=how)
-        else:
-            merged = lg.merge(rg, left_on=on, right_on=right_on, how=how)
-        merged = merged[out_names]
-        for col, dt in dtype_map.items():
-            if col in merged.columns and merged[col].notna().all():
-                merged[col] = merged[col].astype(dt)
-        return merged
-
-    return both.groupby("__bucket").map_groups(join_group, batch_format="pandas")
+    """Partitioned hash equi-join (``how`` "inner" or "left") of two
+    datasets on an int OR string key column — SQL semantics: a null key
+    never matches. Output columns: every left column, then every right
+    column (the right key too when ``right_on`` differs from ``on``); the
+    column sets must be disjoint apart from a shared key. ``num_buckets``
+    is the exchange width."""
+    return _join(left, right, on, right_on or on, how, num_buckets)
 
 
 def attach_columns(
@@ -154,114 +236,12 @@ def attach_columns(
     cols: dict[str, str],
     num_buckets: int = 16,
 ) -> "ray.data.Dataset":
-    """Attach ``right``'s payload columns (one row per int64 key) to every
-    ``left`` row keyed by ``left[on]`` — INNER join semantics, ONE bucketed
-    tagged-union exchange that stays TYPED ARROW end-to-end. ``cols`` maps
-    right column → output column name.
-
-    hash_bucket_join widens both sides through pandas with ``None`` filler
-    columns, turning a large pair table into object-dtype blocks that get
-    pickled through the shuffle twice; for the pair-verify topology
-    (100k+ pairs × per-doc gram/signature/vector blobs in the dedup
-    family) that costs seconds. Here filler cells are Arrow typed nulls,
-    the exchange ships Arrow blocks, and the per-bucket fuse is a
-    searchsorted lookup + Arrow ``take``."""
-    # pandas-block datasets (from_pandas, incl. EMPTY frames — a
-    # hypothesis-found edge) report numpy dtypes from schema(); force
-    # Arrow blocks so the typed-null machinery below sees pa.DataType
-    def _arrow_blocks(ds):
-        if all(isinstance(t, pa.DataType) for t in ds.schema().types):
-            return ds
-        return ds.map_batches(lambda t: t, batch_format="pyarrow")
-
-    left = _arrow_blocks(left)
-    right = _arrow_blocks(right)
-    l_names = list(left.schema().names)
-    l_types = {n: t for n, t in zip(left.schema().names, left.schema().types)}
-    r_types = {n: t for n, t in zip(right.schema().names, right.schema().types)}
-    for rc, oc in cols.items():
-        if oc in l_names:
-            raise ValueError(f"left already has column {oc}")
-        if rc not in r_types:
-            raise ValueError(f"right has no column {rc}")
-        # replicating per-key blobs across many left rows can exceed
-        # pa.binary()'s int32 offset range (2 GiB per array) inside one
-        # bucket — widen to large_binary (int64 offsets) up front
-        if pa.types.is_binary(r_types[rc]):
-            r_types[rc] = pa.large_binary()
-    out_cols = list(cols.values())
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        b = t.column(on).to_numpy(zero_copy_only=False).astype(np.int64) % num_buckets
-        for rc, oc in cols.items():
-            t = t.append_column(oc, pa.nulls(len(t), r_types[rc]))
-        t = t.append_column("__bucket", pa.array(b))
-        return t.append_column("__side", pa.array(np.zeros(len(t), np.int8)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        keys = t.column(on).to_numpy(zero_copy_only=False).astype(np.int64)
-        c = {}
-        for n in l_names:
-            if n == on:
-                c[n] = pa.array(keys, pa.int64())
-            else:
-                c[n] = pa.nulls(len(t), l_types[n])
-        for rc, oc in cols.items():
-            c[oc] = t.column(rc).cast(r_types[rc])
-        c["__bucket"] = pa.array(keys % num_buckets)
-        c["__side"] = pa.array(np.ones(len(t), np.int8))
-        return pa.table(c)
-
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-
-    def fuse(t: pa.Table) -> pa.Table:
-        side = t.column("__side").to_numpy(zero_copy_only=False)
-        lt = t.filter(pa.array(side == 0))
-        rt = t.filter(pa.array(side == 1))
-        keys = rt.column(on).to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        ks = keys[order]
-        lids = lt.column(on).to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(ks, lids)
-        if len(ks):
-            ok = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == lids)
-        else:
-            ok = np.zeros(len(lids), bool)
-        lt = lt.filter(pa.array(ok))
-        sel = pa.array(order[pos[ok]])
-        out = lt.drop_columns(["__bucket", "__side"] + out_cols)
-        for oc in out_cols:
-            col = rt.column(oc).combine_chunks() if rt.num_rows else rt.column(oc)
-            out = out.append_column(oc, col.take(sel))
-        return out
-
-    return both.groupby("__bucket").map_groups(fuse, batch_format="pyarrow")
-
-
-def attach_blob_column(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    on: str,
-    blob_col: str,
-    out_col: str,
-    num_buckets: int = 16,
-) -> "ray.data.Dataset":
-    """Single-binary-column convenience form of :func:`attach_columns`."""
-
-    def to_bin(t: pa.Table) -> pa.Table:
-        return t.set_column(
-            t.schema.get_field_index(blob_col), blob_col, t.column(blob_col).cast(pa.binary())
-        )
-
-    return attach_columns(
-        left,
-        right.map_batches(to_bin, batch_format="pyarrow"),
-        on,
-        {blob_col: out_col},
-        num_buckets=num_buckets,
-    )
+    """Attach ``right``'s payload columns to every ``left`` row keyed by
+    ``left[on]`` — INNER join semantics, typed Arrow end to end. ``cols``
+    maps right column → output column name. The right key must be unique:
+    a duplicated key raises ValueError instead of attaching whichever row
+    came first."""
+    return _join(left, right, on, on, "inner", num_buckets, cols)
 
 
 def zip_with_index(ds: "ray.data.Dataset", id_col: str = "row_id") -> "ray.data.Dataset":
@@ -294,7 +274,7 @@ def zip_with_index(ds: "ray.data.Dataset", id_col: str = "row_id") -> "ray.data.
 
 def default_num_parts() -> int:
     """Adaptive exchange width: 2× the cluster's CPU count, floored at 16.
-    Ray's sort-shuffle + map_groups pays a fixed per-partition cost (~50 ms
+    Ray's sort-shuffle exchange pays a fixed per-partition cost (~50 ms
     on this host), so a hardcoded 64 wastes seconds per exchange in a small
     local session while a 256-node cluster needs thousands of partitions —
     CPU-proportional is the standard heuristic and keeps partition count a
@@ -404,69 +384,3 @@ def prefix_sum_inclusive(
 
     out_refs = [add_run.remote(r, int(c)) for r, c in zip(refs, carries)]
     return ray.data.from_arrow_refs(out_refs)
-
-
-def grouped_apply_bounded(
-    ds: "ray.data.Dataset",
-    key: str | list[str],
-    per_group_fn,
-    num_parts: int | None = None,
-) -> "ray.data.Dataset":
-    """groupby(key).map_groups with BOUNDED Ray-group count: Ray's map_groups
-    pays ~ms Python overhead per group, catastrophic for >10k tiny groups
-    (ways, doc names, LSH buckets). Keys are hash-partitioned into
-    ``num_parts`` Ray groups; real per-key grouping happens inside each
-    partition as an in-process pandas loop.
-
-    ``per_group_fn(sub_df) -> df`` — same contract as map_groups' fn.
-    Key hashing uses pandas' deterministic hash (stable across processes)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-    keys = [key] if isinstance(key, str) else list(key)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        df_keys = batch.select(keys).to_pandas()
-        h = pd.util.hash_pandas_object(df_keys, index=False).to_numpy()
-        return batch.append_column("__gpart", pa.array((h % num_parts).astype(np.int32)))
-
-    def apply_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__gpart"])
-        outs = [per_group_fn(sub) for _, sub in g.groupby(keys, sort=False)]
-        outs = [o for o in outs if o is not None and len(o)]
-        if not outs:
-            # ALWAYS return the fn's empty-frame schema — a bare DataFrame()
-            # emits a schema-less block that breaks downstream Arrow ops
-            return per_group_fn(g.iloc[0:0])
-        return pd.concat(outs, ignore_index=True)
-
-    return ds.map_batches(add_part, batch_format="pyarrow").groupby("__gpart").map_groups(
-        apply_partition, batch_format="pandas"
-    )
-
-
-def hash_partitioned_apply(
-    ds: "ray.data.Dataset",
-    key: str | list[str],
-    partition_fn,
-    num_parts: int | None = None,
-) -> "ray.data.Dataset":
-    """Hash-partition rows by key into ``num_parts`` Ray groups and hand each
-    WHOLE partition to ``partition_fn(df) -> df`` — for fully-vectorized
-    per-partition kernels (reduceat over group boundaries etc.) where even an
-    in-process per-group loop is too slow. ``num_parts=None`` → the adaptive
-    CPU-proportional default (default_num_parts)."""
-    if num_parts is None:
-        num_parts = default_num_parts()
-    keys = [key] if isinstance(key, str) else list(key)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        df_keys = batch.select(keys).to_pandas()
-        h = pd.util.hash_pandas_object(df_keys, index=False).to_numpy()
-        return batch.append_column("__gpart", pa.array((h % num_parts).astype(np.int32)))
-
-    def apply_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return partition_fn(g.drop(columns=["__gpart"]))
-
-    return ds.map_batches(add_part, batch_format="pyarrow").groupby("__gpart").map_groups(
-        apply_partition, batch_format="pandas"
-    )

@@ -312,7 +312,7 @@ def partitioned_pip_join(
 
     from .joins import grouped_apply_bounded
 
-    joined = grouped_apply_bounded(both, ["cell", "salt"], join_group, num_parts=64)
+    joined = grouped_apply_bounded(both, ["cell", "salt"], join_group)
     keep = point_cols + ["poly_id"]
     joined = joined.select_columns(keep)
 

@@ -188,28 +188,6 @@ def test_text_index_build_deterministic():
     assert a.globals == b.globals
 
 
-def test_native_vs_portable_bucket_join():
-    """Native Dataset.join fast path produces the same rows as the portable
-    bucket join."""
-    import ray.data
-
-    from osm_search_ray.stages.joins import hash_bucket_join
-
-    rng = np.random.default_rng(8)
-    left = pd.DataFrame({"k": rng.integers(0, 50, 200).astype(np.int64), "lv": np.arange(200, dtype=np.int64)})
-    right = pd.DataFrame({"k2": np.arange(0, 60, dtype=np.int64), "rv": np.arange(0, 600, 10, dtype=np.int64)})
-    a = hash_bucket_join(
-        ray.data.from_pandas(left), ray.data.from_pandas(right), on="k", right_on="k2", num_buckets=8, use_native=True
-    ).to_pandas()
-    b = hash_bucket_join(
-        ray.data.from_pandas(left), ray.data.from_pandas(right), on="k", right_on="k2", num_buckets=8, use_native=False
-    ).to_pandas()
-    key = sorted(set(a.columns) & set(b.columns))
-    pd.testing.assert_frame_equal(
-        a[key].sort_values(key).reset_index(drop=True), b[key].sort_values(key).reset_index(drop=True)
-    )
-
-
 class TestHLL:
     def test_estimate_within_error(self):
         from osm_search_ray.stages.sketches import approx_distinct

@@ -1,6 +1,6 @@
 """The data-proportional read policy and the Arrow-typed blob join — the
 two round-5 primitives every pipeline now rides on (sources/readers.read_pq,
-stages/joins.attach_blob_column)."""
+stages/joins.attach_columns with a binary payload)."""
 
 import numpy as np
 import pandas as pd
@@ -11,7 +11,7 @@ import ray
 import ray.data
 
 from osm_search_ray.sources import readers
-from osm_search_ray.stages.joins import attach_blob_column, hash_bucket_join
+from osm_search_ray.stages.joins import attach_columns, hash_bucket_join
 
 
 class TestReadSizing:
@@ -101,7 +101,7 @@ class TestAttachBlobColumn:
         return pairs, blobs
 
     def test_matches_hash_bucket_join(self):
-        """attach_blob_column == hash_bucket_join(inner) row-for-row."""
+        """attach_columns(binary payload) == hash_bucket_join(inner) row-for-row."""
         pairs, blobs = self._mk()
         left = ray.data.from_pandas(pairs)
         right = ray.data.from_pandas(blobs.rename(columns={"blob": "g"}))
@@ -112,14 +112,7 @@ class TestAttachBlobColumn:
             .reset_index(drop=True)
         )
         got = (
-            attach_blob_column(
-                left,
-                ray.data.from_pandas(blobs),
-                on="doc_a",
-                blob_col="blob",
-                out_col="g",
-                num_buckets=4,
-            )
+            attach_columns(left, ray.data.from_pandas(blobs), on="doc_a", cols={"blob": "g"}, num_buckets=4)
             .to_pandas()
             .sort_values(["doc_a", "doc_b"])
             .reset_index(drop=True)
@@ -130,13 +123,8 @@ class TestAttachBlobColumn:
     def test_inner_semantics_drop_unmatched(self):
         pairs, blobs = self._mk()
         blobs = blobs[blobs["doc_a"] < 20]  # half the keys have no blob
-        got = attach_blob_column(
-            ray.data.from_pandas(pairs),
-            ray.data.from_pandas(blobs),
-            on="doc_a",
-            blob_col="blob",
-            out_col="g",
-            num_buckets=4,
+        got = attach_columns(
+            ray.data.from_pandas(pairs), ray.data.from_pandas(blobs), on="doc_a", cols={"blob": "g"}, num_buckets=4
         ).to_pandas()
         assert (got["doc_a"] < 20).all()
         assert len(got) == int((pairs["doc_a"] < 20).sum())
@@ -144,10 +132,6 @@ class TestAttachBlobColumn:
     def test_rejects_colliding_out_col(self):
         pairs, blobs = self._mk()
         with pytest.raises(ValueError):
-            attach_blob_column(
-                ray.data.from_pandas(pairs),
-                ray.data.from_pandas(blobs),
-                on="doc_a",
-                blob_col="blob",
-                out_col="doc_b",
+            attach_columns(
+                ray.data.from_pandas(pairs), ray.data.from_pandas(blobs), on="doc_a", cols={"blob": "doc_b"}
             )
