@@ -21,8 +21,23 @@ from ..stages.joins import default_actor_pool
 import ray.data
 
 from ..functions.tokenize import tokenize
-from .scoring import SCORERS, rank_slice
+from .scoring import SCORERS, bm25f_row_weights, df_per_term, group_sum, rank_slice
 from .text_index import TextIndex
+
+
+def _arrays(scores: pd.Series) -> tuple[np.ndarray, np.ndarray]:
+    return scores.index.to_numpy(), scores.to_numpy(dtype=np.float64)
+
+
+def _qid_column(qids: list) -> np.ndarray:
+    """``pd.Series(qids).to_numpy()`` — the query_id dtype of one frame per
+    query concatenated — without building a Series for the usual batch of
+    Python ints that fit int64 (numpy infers the same dtype for those)."""
+    if all(type(q) is int for q in qids):
+        a = np.array(qids)
+        if a.dtype == np.int64:
+            return a
+    return pd.Series(qids).to_numpy()
 
 
 class _Core:
@@ -34,12 +49,13 @@ class _Core:
         toks = tokenize(text)
         return self.corrector.correct_query(toks) if self.corrector is not None else toks
 
-    def _score(self, text: str, scoring: str) -> "pd.Series | None":
-        """Per-doc scores of one query, None when no query term is indexed."""
+    def _score(self, text: str, scoring: str) -> "tuple[np.ndarray, np.ndarray] | None":
+        """(doc_id, score) arrays of one query, None when no query term is
+        indexed."""
         toks = self._tokens(text)
         ids, posts = self._point_query(toks)
         tids = [ids[t] for t in toks if t in ids]
-        return SCORERS[scoring](posts, tids, self.globals) if tids else None
+        return _arrays(SCORERS[scoring](posts, tids, self.globals)) if tids else None
 
     def search_rows(self, rows: list[dict]) -> pd.DataFrame:
         """rows: dicts with query_id, text[, scoring, top_k, offset] →
@@ -61,7 +77,7 @@ class _Core:
                 unmatched = True
                 counts.append(0)
                 continue
-            d, v = rank_slice(s, k, offset)
+            d, v = rank_slice(*s, k, offset)
             docs.append(d)
             scores.append(v)
             counts.append(len(d))
@@ -70,13 +86,15 @@ class _Core:
         doc = np.concatenate(docs) if docs else np.empty(0, np.float64)
         if unmatched:
             doc, rank = doc.astype(np.float64), rank.astype(np.float64)
+        # every column is a fresh array, so the frame may own them uncopied
         return pd.DataFrame(
             {
                 "doc_id": doc,
                 "score": np.concatenate(scores) if scores else np.empty(0, np.float64),
                 "rank": rank,
-                "query_id": np.repeat(pd.Series(qids).to_numpy(), n) if rows else np.empty(0, np.float64),
-            }
+                "query_id": np.repeat(_qid_column(qids), n) if rows else np.empty(0, np.float64),
+            },
+            copy=False,
         )
 
 
@@ -84,37 +102,56 @@ class SearchCore(_Core):
     """The in-RAM query engine: vocab + per-term postings + globals (+
     optional spell corrector). Shared by the batch actor-pool stage
     (SearchActor) and the serving session (serving.Session) — one scoring
-    implementation, two execution shapes."""
+    implementation, two execution shapes.
+
+    The constructor plans BM25F once: postings sorted stably by term_id
+    (each term one contiguous ``(lo, hi)`` slice, original row order kept)
+    and every row's query-independent weight from
+    ``scoring.bm25f_row_weights``, with each term's df counted over all
+    postings — one float64 per posting row. A BM25F request then only
+    concatenates its terms' slices in first-seen order, multiplies by each
+    term's multiplicity and sums per doc; the rows and their order are
+    those ``score_bm25_field`` sees over ``_gather``, so the scores are
+    bit-identical. BM25_PLUS and TF_IDF_COSINE score ``_gather`` rows
+    through ``SCORERS``."""
 
     def __init__(self, index: TextIndex, corrector=None):
         self.vocab = index.vocab()
         self.postings = index.postings
         self.globals = index.globals
         self.corrector = corrector
-        # serving gather state: postings columns as numpy arrays, STABLY
-        # sorted by term_id so each term is one contiguous slice (original
-        # row order within a term preserved — float accumulation order in
-        # the scorers is unchanged vs the old get_group+concat form)
         order = np.argsort(self.postings["term_id"].to_numpy(), kind="stable")
         self._cols = {
             c: self.postings[c].to_numpy()[order]
             for c in ("term_id", "doc_id", "field", "tf", "name_len", "address_len", "total_len")
         }
-        self._sorted_tids = self._cols["term_id"]
+        tid, self._doc = self._cols["term_id"], self._cols["doc_id"]
+        ut, df = df_per_term(tid, self._doc)
+        self._w = bm25f_row_weights(self._cols, df[np.searchsorted(ut, tid)], self.globals)
+        lo = np.searchsorted(tid, ut, side="left")
+        hi = np.searchsorted(tid, ut, side="right")
+        self._span = dict(zip(ut.tolist(), zip(lo.tolist(), hi.tolist())))
 
     def _gather(self, tids: list[int]) -> dict:
         """Postings rows for the query's terms as a dict of numpy arrays —
         per-term contiguous slices concatenated in first-seen query-term
-        order (exactly the row order of the old per-term concat)."""
-        t = np.asarray(list(dict.fromkeys(tids)), dtype=np.int64)
-        lo = np.searchsorted(self._sorted_tids, t, side="left")
-        hi = np.searchsorted(self._sorted_tids, t, side="right")
-        idx = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]) if len(t) else np.empty(0, np.int64)
+        order."""
+        spans = [self._span[t] for t in dict.fromkeys(tids)]
+        idx = np.concatenate([np.arange(a, b) for a, b in spans]) if spans else np.empty(0, np.int64)
         return {c: v[idx] for c, v in self._cols.items()}
 
-    def _score(self, text: str, scoring: str) -> "pd.Series | None":
+    def _score(self, text: str, scoring: str) -> "tuple[np.ndarray, np.ndarray] | None":
         tids = [self.vocab[t] for t in self._tokens(text) if t in self.vocab]
-        return SCORERS[scoring](self._gather(tids), tids, self.globals) if tids else None
+        if not tids:
+            return None
+        if scoring != "BM25_FIELD":
+            return _arrays(SCORERS[scoring](self._gather(tids), tids, self.globals))
+        mult = dict.fromkeys(tids, 0)
+        for t in tids:
+            mult[t] += 1
+        spans = [(*self._span[t], m) for t, m in mult.items()]
+        w = np.concatenate([self._w[a:b] * float(m) for a, b, m in spans])
+        return group_sum(np.concatenate([self._doc[a:b] for a, b, _ in spans]), w)
 
 
 class SearchActor:

@@ -853,7 +853,8 @@ def cms_heavy_terms(sf_dir: str, min_count: int = CMS_MIN_COUNT):
         )
     h = hash64_md5(heavy["term"].to_numpy(dtype=object))
     heavy["cms_est"] = cms_estimate(regs, h)
-    assert (heavy["cms_est"].to_numpy() >= heavy["n_exact"].to_numpy()).all()
+    if not (heavy["cms_est"].to_numpy() >= heavy["n_exact"].to_numpy()).all():
+        raise RuntimeError("cms_heavy_terms: count-min estimate below the exact count")
     return heavy.reset_index(drop=True)[["term", "n_exact", "cms_est"]]
 
 

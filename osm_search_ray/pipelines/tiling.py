@@ -1256,14 +1256,16 @@ def rect_overlap_pairs(sf_dir: str):
         # than silently drop overlapping pairs if a fixture change widens
         # rects or moves them south/west of the grid base.
         if len(ix0):
-            assert (ix1 - ix0 <= 1).all() and (iy1 - iy0 <= 1).all(), (
-                "rect_overlap_pairs: rect extent exceeds one grid cell "
-                f"(G={G}) — widen the fan-out offsets"
-            )
-            assert ix0.min() >= 0 and iy0.min() >= 0 and iy1.max() < 1_000_003, (
-                "rect_overlap_pairs: rect outside the grid base — cell key "
-                "no longer injective"
-            )
+            if not ((ix1 - ix0 <= 1).all() and (iy1 - iy0 <= 1).all()):
+                raise ValueError(
+                    "rect_overlap_pairs: rect extent exceeds one grid cell "
+                    f"(G={G}) — widen the fan-out offsets"
+                )
+            if not (ix0.min() >= 0 and iy0.min() >= 0 and iy1.max() < 1_000_003):
+                raise ValueError(
+                    "rect_overlap_pairs: rect outside the grid base — cell key "
+                    "no longer injective"
+                )
         outs = []
         for dx in (0, 1):
             for dy in (0, 1):
@@ -1376,10 +1378,11 @@ def distance_band_pairs(sf_dir: str):
         # non-negative indices; points south/west of the grid base would
         # silently collide cells — fail loudly instead.
         if len(ix):
-            assert ix.min() >= 1 and 1 <= iy.min() and iy.max() < CK - 1, (
-                "distance_band_pairs: point outside the grid base "
-                f"(BLAT={BLAT}, BLON={BLON}) — cell key no longer injective"
-            )
+            if not (ix.min() >= 1 and 1 <= iy.min() and iy.max() < CK - 1):
+                raise ValueError(
+                    "distance_band_pairs: point outside the grid base "
+                    f"(BLAT={BLAT}, BLON={BLON}) — cell key no longer injective"
+                )
         outs = []
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):

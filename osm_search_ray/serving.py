@@ -42,7 +42,9 @@ class Session:
         self.core = make_core(*args)
 
     def search(self, queries: pd.DataFrame) -> pd.DataFrame:
-        return self.core.search_rows(queries.to_dict("records"))
+        names = list(queries.columns)
+        cols = [queries[c].tolist() for c in names]
+        return self.core.search_rows([dict(zip(names, vals)) for vals in zip(*cols)])
 
     def autocomplete(self, queries: pd.DataFrame, top_n: int = 3) -> pd.DataFrame:
         from .functions.tokenize import tokenize
@@ -51,9 +53,9 @@ class Session:
         if corrector is None:
             raise ValueError("session started without a corrector")
         out_q, out_r, out_c = [], [], []
-        for row in queries.to_dict("records"):
-            for rank, cand in enumerate(corrector.autocomplete(tokenize(row["text"]), top_n=top_n), start=1):
-                out_q.append(int(row["query_id"]))
+        for qid, text in zip(queries["query_id"].tolist(), queries["text"].tolist()):
+            for rank, cand in enumerate(corrector.autocomplete(tokenize(text), top_n=top_n), start=1):
+                out_q.append(int(qid))
                 out_r.append(rank)
                 out_c.append(cand[-1])
         return pd.DataFrame({"query_id": out_q, "rank": out_r, "completion": out_c})

@@ -164,7 +164,8 @@ class ServingApp:
         df = self.session.autocomplete(
             pd.DataFrame({"query_id": [0], "text": [text]}), top_n=self.top_n
         )
-        return {"query": text, "completions": df.sort_values("rank")["completion"].tolist()}
+        # one query: the session returns its completions in rank order
+        return {"query": text, "completions": df["completion"].tolist()}
 
     def _reverse(self, qs) -> dict:
         if self._geo_ids is None:

@@ -91,7 +91,8 @@ class TileRasterizer:
         for c in cells_in:
             mask = rasterize_tile(int(c), self.polys, self.res, self.grid)
             rects = vectorize_mask(mask)
-            assert (rects_to_mask(rects, self.grid) == mask).all()  # round-trip invariant
+            if not (rects_to_mask(rects, self.grid) == mask).all():
+                raise RuntimeError("vectorize_mask: rects do not round-trip to the tile mask")
             n_px.append(int(mask.sum()))
             n_rects.append(len(rects))
             rect_rows.append(np.asarray(rects, dtype=np.int64).ravel().tolist())

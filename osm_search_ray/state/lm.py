@@ -153,19 +153,37 @@ def windowed_gram_counts(toks: np.ndarray, counts: np.ndarray):
 
 
 def lm_from_counts(counts: dict, vocab: set) -> NGramLM:
+    """NGramLM from a {(n, gram_key): cnt} dict (see count_doc_ngrams)."""
+    keys = list(counts)
+    return lm_from_columns(
+        np.fromiter((n for n, _ in keys), np.int64, len(keys)),
+        np.array([g for _, g in keys], dtype=object),
+        np.fromiter(counts.values(), np.int64, len(keys)),
+        vocab,
+    )
+
+
+def lm_from_columns(n: np.ndarray, gram: np.ndarray, cnt: np.ndarray, vocab: set) -> NGramLM:
+    """NGramLM from distinct (n, gram_key, cnt) rows — gram_key is the
+    n tokens joined by '\x1f'; one dict fill per order."""
     lm = NGramLM(vocab=vocab)
-    for (n, gram), cnt in counts.items():
-        parts = tuple(gram.split("\x1f"))
-        if n == 1:
-            lm.unigram[parts[0]] = int(cnt)
-            lm.total_word_freq += int(cnt)
-        elif n == 2:
-            lm.bigram[parts] = int(cnt)
-        elif n == 3:
-            lm.trigram[parts] = int(cnt)
-        else:
-            lm.quadgram[parts] = int(cnt)
+    uni = n == 1
+    lm.unigram.update(zip(gram[uni].tolist(), cnt[uni].tolist()))
+    lm.total_word_freq = int(cnt[uni].sum())
+    for k, d in ((2, lm.bigram), (3, lm.trigram), (4, lm.quadgram)):
+        m = n == k
+        d.update(zip((tuple(g.split("\x1f")) for g in gram[m].tolist()), cnt[m].tolist()))
     return lm
+
+
+def _summed(parts: "ray.data.Dataset", schema: pa.Schema, keys: list[str], col: str) -> pa.Table:
+    """Stream per-batch count partials to the driver and sum ``col`` per
+    ``keys`` with one Arrow group_by: O(distinct keys), no per-row loop
+    (the groupby-shuffle alternative pays ~5s fixed sort-shuffle cost per
+    call in this Ray version). The sum is column ``<col>_sum``."""
+    tables = list(parts.iter_batches(batch_size=None, batch_format="pyarrow"))
+    t = pa.concat_tables(tables) if tables else schema.empty_table()
+    return t.group_by(keys).aggregate([(col, "sum")])
 
 
 def count_ngrams(docs_tokens: list[list[str]], vocab: set | None = None) -> NGramLM:
@@ -215,17 +233,15 @@ def build_ngram_lm(docs: "ray.data.Dataset", text_cols: list[str] = ("name", "ad
         u, c = np.unique(np.asarray(flat, dtype=object), return_counts=True)
         return pa.table({"word": pa.array(u.astype(object), pa.string()), "n": pa.array(c)})
 
-    # stream the per-batch partials and merge driver-side: the merged dict
-    # is bounded by O(vocab), not O(corpus) (the groupby-shuffle alternative
-    # pays ~5s fixed sort-shuffle cost per call in this Ray version)
-    wc_merged: dict[str, int] = {}
-    for b in tok_ds.map_batches(wc_partial, batch_format="pyarrow").iter_batches(
-        batch_size=None, batch_format="pyarrow"
-    ):
-        for w, c in zip(b.column("word").to_pylist(), b.column("n").to_numpy()):
-            wc_merged[w] = wc_merged.get(w, 0) + int(c)
-    vocab = {w for w, c in wc_merged.items() if c >= COUNT_THRESHOLD}
-    full_vocab = set(wc_merged)
+    wc = _summed(
+        tok_ds.map_batches(wc_partial, batch_format="pyarrow"),
+        pa.schema([("word", pa.string()), ("n", pa.int64())]),
+        ["word"],
+        "n",
+    )
+    words = wc.column("word")
+    vocab = set(words.filter(pc.greater_equal(wc.column("n_sum"), COUNT_THRESHOLD)).to_pylist())
+    full_vocab = set(words.to_pylist())
 
     # A6: n-gram count partials per n, with per-n padding, then groupby-sum
     import ray
@@ -251,26 +267,33 @@ def build_ngram_lm(docs: "ray.data.Dataset", text_cols: list[str] = ("name", "ad
             {"n": pa.array(n_), "gram": pa.array(g_.tolist(), pa.string()), "cnt": pa.array(c_)}
         )
 
-    counts: dict = {}
-    for b in tok_ds.map_batches(ngram_partial, batch_format="pyarrow").iter_batches(
-        batch_size=None, batch_format="pyarrow"
-    ):
-        for n_, g, c in zip(b.column("n").to_numpy(), b.column("gram").to_pylist(), b.column("cnt").to_numpy()):
-            key = (int(n_), g)
-            counts[key] = counts.get(key, 0) + int(c)
-    lm = lm_from_counts(counts, vocab)
+    counts = _summed(
+        tok_ds.map_batches(ngram_partial, batch_format="pyarrow"),
+        pa.schema([("n", pa.int8()), ("gram", pa.string()), ("cnt", pa.int64())]),
+        ["n", "gram"],
+        "cnt",
+    )
+    lm = lm_from_columns(
+        counts.column("n").to_numpy(),
+        counts.column("gram").to_numpy(zero_copy_only=False),
+        counts.column("cnt_sum").to_numpy(),
+        vocab,
+    )
     lm.full_vocab = full_vocab
     return lm
 
 
 def ngram_counts_table(lm: NGramLM) -> pd.DataFrame:
-    """(n, gram, cnt) frame — the S9 Parquet artifact."""
+    """(n, gram, cnt) frame — the S9 Parquet artifact — sorted by (n, gram):
+    the count dicts' insertion order depends on how the build merged its
+    partials."""
     rows = []
     uni = {(k,): v for k, v in lm.unigram.items()}
     for n, d in ((1, uni), (2, lm.bigram), (3, lm.trigram), (4, lm.quadgram)):
         for k, v in d.items():
             rows.append((n, " ".join(k), v))
-    return pd.DataFrame(rows, columns=["n", "gram", "cnt"])
+    df = pd.DataFrame(rows, columns=["n", "gram", "cnt"])
+    return df.sort_values(["n", "gram"], kind="mergesort").reset_index(drop=True)
 
 
 def build_ngram_counts_ds(
@@ -453,10 +476,9 @@ def lm_from_counts_ds(counts_ds, word_counts_ds, count_threshold: int = COUNT_TH
     the reference's own serving budget; at true web scale the counts stay
     as bucketed Parquet and scorers read only the grams they touch)."""
     cpd = counts_ds.to_pandas()
-    counts = {(int(r.n), r.gram): int(r.cnt) for r in cpd.itertuples()}
     wc = word_counts_ds.to_pandas()
     vocab = set(wc[wc["wcnt"] >= count_threshold]["word"])
-    lm = lm_from_counts(counts, vocab)
+    lm = lm_from_columns(cpd["n"].to_numpy(), cpd["gram"].to_numpy(dtype=object), cpd["cnt"].to_numpy(), vocab)
     lm.full_vocab = set(wc["word"])
     return lm
 

@@ -530,6 +530,43 @@ class TestSymSpellDeletesIndex:
 
 
 class TestDatasetSideLM:
+    def test_build_merges_partials_exactly(self):
+        """build_ngram_lm merges its per-batch partials with Arrow group_by;
+        the reference below is the per-row driver merge it replaced (word
+        counts and (n, gram) counts summed into dicts, then split per
+        order). Three blocks, so partials really merge; duplicated docs, a
+        null field, an empty doc and below-threshold words included."""
+        from collections import Counter
+
+        from osm_search_ray.functions.tokenize import tokenize
+        from osm_search_ray.state.lm import COUNT_THRESHOLD, UNKNOWN_TOKEN, build_ngram_lm, count_doc_ngrams
+
+        docs = pd.concat(
+            [DOCS, DOCS.iloc[:3], pd.DataFrame({"doc_id": [90, 91], "name": ["Zzyzx Solo", None], "address": ["", "x"]})],
+            ignore_index=True,
+        )
+        got = build_ngram_lm(ray.data.from_pandas([docs.iloc[:5], docs.iloc[5:9], docs.iloc[9:]]))
+
+        toks = [tokenize(f"{n or ''} {a or ''}") for n, a in zip(docs["name"], docs["address"])]
+        wc = Counter(t for ts in toks for t in ts)
+        vocab = {w for w, c in wc.items() if c >= COUNT_THRESHOLD}
+        counts: dict = {}
+        for ts in toks:
+            count_doc_ngrams(counts, [t if t in vocab else UNKNOWN_TOKEN for t in ts])
+        want = NGramLM(vocab=vocab, full_vocab=set(wc))
+        for (n, gram), cnt in counts.items():
+            parts = tuple(gram.split("\x1f"))
+            if n == 1:
+                want.unigram[parts[0]] = cnt
+                want.total_word_freq += cnt
+            else:
+                {2: want.bigram, 3: want.trigram, 4: want.quadgram}[n][parts] = cnt
+
+        assert UNKNOWN_TOKEN in got.unigram and got.vocab != got.full_vocab
+        for f in ("unigram", "bigram", "trigram", "quadgram", "total_word_freq", "vocab", "full_vocab"):
+            assert getattr(got, f) == getattr(want, f), f
+        assert all(type(v) is int for v in got.quadgram.values())
+
     def test_counts_ds_equals_in_ram_lm(self):
         """The all-Dataset LM counting path (raw-gram count → Dataset vocab
         threshold → distributed <UNK> key rewrite) must yield EXACTLY the

@@ -21,7 +21,9 @@ import shutil
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, for the driver and (via runtime_env) every Ray worker
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import numpy as np
 import pyarrow as pa
@@ -69,7 +71,8 @@ def main() -> None:
     scales = [int(x) for x in sys.argv[2:]] or [1, 4, 16]
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR")
+        ray.init(address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": ROOT}})
     import ray.data as rd
 
     rd.DataContext.get_current().enable_progress_bars = False

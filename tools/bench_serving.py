@@ -17,10 +17,13 @@ Prints one JSON line. Owns a guarded Ray session (tools convention)."""
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, for the driver and (via runtime_env) every Ray worker
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import numpy as np
 import pandas as pd
@@ -32,7 +35,8 @@ def main() -> None:
     n_req = int(sys.argv[2]) if len(sys.argv) > 2 else 400
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": ROOT}})
 
     from osm_search_ray.pipelines import text_index as ti
     from osm_search_ray.pipelines.search_docs import FIELD_QUERIES, SPELL_QUERIES, _lm_state

@@ -10,10 +10,13 @@ Usage: python tools/check_oracle.py [sf_dir] [query_name ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+# the checkout this script lives in, for the driver and (via runtime_env) every Ray worker
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 
 import duckdb
 import numpy as np
@@ -59,7 +62,8 @@ def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, ignore_reinit_error=True, logging_level="ERROR")
+        ray.init(address="local", num_cpus=8, include_dashboard=False, ignore_reinit_error=True, logging_level="ERROR",
+                 runtime_env={"env_vars": {"PYTHONPATH": ROOT}})
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
