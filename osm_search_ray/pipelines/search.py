@@ -43,7 +43,7 @@ def _qid_column(qids: list) -> np.ndarray:
 class _Core:
     """The request loop every search core shares: tokenize (+ spell-correct),
     look the tokens up (``_point_query`` → term ids + their postings), score,
-    rank, and frame the whole batch once."""
+    rank, and concatenate the whole batch into columns once."""
 
     def _tokens(self, text: str) -> list[str]:
         toks = tokenize(text)
@@ -57,9 +57,9 @@ class _Core:
         tids = [ids[t] for t in toks if t in ids]
         return _arrays(SCORERS[scoring](posts, tids, self.globals)) if tids else None
 
-    def search_rows(self, rows: list[dict]) -> pd.DataFrame:
+    def search_columns(self, rows: list[dict]) -> dict[str, np.ndarray]:
         """rows: dicts with query_id, text[, scoring, top_k, offset] →
-        (doc_id, score, rank, query_id) frame, queries in input order,
+        doc_id, score, rank and query_id arrays, queries in input order,
         each in rank order.
 
         The dtypes are those of one frame per query concatenated: a query
@@ -86,16 +86,16 @@ class _Core:
         doc = np.concatenate(docs) if docs else np.empty(0, np.float64)
         if unmatched:
             doc, rank = doc.astype(np.float64), rank.astype(np.float64)
-        # every column is a fresh array, so the frame may own them uncopied
-        return pd.DataFrame(
-            {
-                "doc_id": doc,
-                "score": np.concatenate(scores) if scores else np.empty(0, np.float64),
-                "rank": rank,
-                "query_id": np.repeat(_qid_column(qids), n) if rows else np.empty(0, np.float64),
-            },
-            copy=False,
-        )
+        return {
+            "doc_id": doc,
+            "score": np.concatenate(scores) if scores else np.empty(0, np.float64),
+            "rank": rank,
+            "query_id": np.repeat(_qid_column(qids), n) if rows else np.empty(0, np.float64),
+        }
+
+    def search_rows(self, rows: list[dict]) -> pd.DataFrame:
+        """``search_columns`` as a frame, which owns the fresh arrays uncopied."""
+        return pd.DataFrame(self.search_columns(rows), copy=False)
 
 
 class SearchCore(_Core):
@@ -255,15 +255,28 @@ def validate_queries(queries: "ray.data.Dataset", require_geo: bool = False) -> 
     return queries.map_batches(fn, batch_format="pyarrow")
 
 
+_AUTOCOMPLETE_SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int64()), ("completion", pa.string())])
+
+
+def autocomplete_columns(corrector, rows: list[dict], top_n: int = 3) -> dict[str, list]:
+    """rows: dicts with query_id, text → query_id, rank and completion
+    lists, queries in input order, each in rank order. The completion is
+    the completed LAST term (reference spell_corrector.go:160-227)."""
+    out = {"query_id": [], "rank": [], "completion": []}
+    for row in rows:
+        for rank, cand in enumerate(corrector.autocomplete(tokenize(row["text"]), top_n=top_n), start=1):
+            out["query_id"].append(int(row["query_id"]))
+            out["rank"].append(rank)
+            out["completion"].append(cand[-1])
+    return out
+
+
 def autocomplete_search(
     corrector, queries: "ray.data.Dataset | pd.DataFrame", top_n: int = 3, concurrency=None
 ) -> "ray.data.Dataset":
     """Batch autocomplete: queries(query_id, text) streamed through an
     actor pool holding the corrector (sorted vocab + LM) — the engine form
-    of GET /api/autocomplete (reference spell_corrector.go:160-227).
-
-    Output (query_id, rank, completion) — completion is the completed LAST
-    term; earlier terms pass through unchanged."""
+    of GET /api/autocomplete: ``autocomplete_columns`` per batch."""
     if isinstance(queries, pd.DataFrame):
         queries = ray.data.from_pandas(queries)
     ref = ray.put(corrector)
@@ -273,20 +286,7 @@ def autocomplete_search(
             self.sc = ray.get(ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            out_q, out_r, out_c = [], [], []
-            for row in batch.to_pylist():
-                toks = tokenize(row["text"])
-                for rank, cand in enumerate(self.sc.autocomplete(toks, top_n=top_n), start=1):
-                    out_q.append(int(row["query_id"]))
-                    out_r.append(rank)
-                    out_c.append(cand[-1])
-            return pa.table(
-                {
-                    "query_id": pa.array(out_q, pa.int64()),
-                    "rank": pa.array(out_r, pa.int64()),
-                    "completion": pa.array(out_c, pa.string()),
-                }
-            )
+            return pa.table(autocomplete_columns(self.sc, batch.to_pylist(), top_n), schema=_AUTOCOMPLETE_SCHEMA)
 
     return queries.map_batches(AutocompleteActor, batch_format="pyarrow", concurrency=concurrency or default_actor_pool())
 

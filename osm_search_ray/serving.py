@@ -17,8 +17,9 @@ cluster; each call is then one actor round trip.
 Usage (driver owns the Ray session, as everywhere in this repo):
 
     session = start_session(index, corrector=sc)  # in process
-    res = session.search(queries_df)              # pandas in, pandas out
-    res2 = session.autocomplete(prefix_df)        # no rebuild between calls
+    rows = [{"query_id": 0, "text": "pantai ancol"}]
+    res = session.search(rows)                    # rows in, columns out
+    res2 = session.autocomplete(rows)             # no rebuild between calls
     named = start_session(index, corrector=sc, name="searcher")  # actor
 """
 
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 import time
 
-import pandas as pd
 import ray
 
-from .pipelines.search import DiskSearchCore, SearchCore, SegmentedSearchCore
+from .pipelines.search import DiskSearchCore, SearchCore, SegmentedSearchCore, autocomplete_columns
 from .pipelines.text_index import TextIndex
 from .stages.annindex import IvfStoreCore
 
@@ -41,24 +41,16 @@ class Session:
     def __init__(self, make_core, *args):
         self.core = make_core(*args)
 
-    def search(self, queries: pd.DataFrame) -> pd.DataFrame:
-        names = list(queries.columns)
-        cols = [queries[c].tolist() for c in names]
-        return self.core.search_rows([dict(zip(names, vals)) for vals in zip(*cols)])
+    def search(self, rows: list[dict]) -> dict:
+        """The core's ``search_columns``: rows in, columns out."""
+        return self.core.search_columns(rows)
 
-    def autocomplete(self, queries: pd.DataFrame, top_n: int = 3) -> pd.DataFrame:
-        from .functions.tokenize import tokenize
-
+    def autocomplete(self, rows: list[dict], top_n: int = 3) -> dict:
+        """``autocomplete_columns`` over the core's corrector."""
         corrector = getattr(self.core, "corrector", None)
         if corrector is None:
             raise ValueError("session started without a corrector")
-        out_q, out_r, out_c = [], [], []
-        for qid, text in zip(queries["query_id"].tolist(), queries["text"].tolist()):
-            for rank, cand in enumerate(corrector.autocomplete(tokenize(text), top_n=top_n), start=1):
-                out_q.append(int(qid))
-                out_r.append(rank)
-                out_c.append(cand[-1])
-        return pd.DataFrame({"query_id": out_q, "rank": out_r, "completion": out_c})
+        return autocomplete_columns(corrector, rows, top_n)
 
     def refresh(self) -> int:
         """Segmented core: attach segments committed since the last refresh
@@ -66,7 +58,7 @@ class Session:
         rebuild or restart); returns the segment count now served."""
         return self.core.refresh()
 
-    def topk(self, queries: dict, k: int, nprobe: int = 4) -> pd.DataFrame:
+    def topk(self, queries: dict, k: int, nprobe: int = 4):
         return self.core.topk(queries, k, nprobe)
 
     def warmup(self) -> None:

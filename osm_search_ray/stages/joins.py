@@ -225,7 +225,11 @@ def hash_bucket_join(
     never matches. Output columns: every left column, then every right
     column (the right key too when ``right_on`` differs from ``on``); the
     column sets must be disjoint apart from a shared key. ``num_buckets``
-    is the exchange width."""
+    is the exchange width.
+
+    Limit: a "left" result with a ``list`` payload cannot pass through Ray's
+    pandas conversion (``to_pandas``, a pandas-format stage): the unmatched
+    rows' nulls fail its tensor-extension cast. Read such a result as Arrow."""
     return _join(left, right, on, right_on or on, how, num_buckets)
 
 

@@ -472,10 +472,10 @@ def test_segmented_session_actor_refresh(tmp_path):
     idx = str(tmp_path / "idx")
     add_segment(idx, _half(0), {"text": 0}, in_ram=True)
     s = start_segmented_session(idx, name="seg-test-session")
-    q = pd.DataFrame([{"query_id": 7, "text": "batch stream", "scoring": "BM25_PLUS", "top_k": 5}])
-    n1 = len(s.search(q))
+    q = [{"query_id": 7, "text": "batch stream", "scoring": "BM25_PLUS", "top_k": 5}]
+    n1 = len(s.search(q)["doc_id"])
     add_segment(idx, _half(1), {"text": 0}, in_ram=True)
     assert s.refresh() == 2
-    r = s.search(q)
+    r = pd.DataFrame(s.search(q))
     assert len(r) >= n1 and (r["query_id"] == 7).all()
     s.stop()

@@ -411,7 +411,7 @@ class TestServingSession:
         )
         sess = serving.start_session(index, name="test_session")
         got = (
-            sess.search(queries)[["query_id", "doc_id", "rank"]]
+            pd.DataFrame(sess.search(queries.to_dict("records")))[["query_id", "doc_id", "rank"]]
             .astype(want.dtypes.to_dict())
             .sort_values(["query_id", "rank"])
             .reset_index(drop=True)
@@ -422,7 +422,7 @@ class TestServingSession:
         sess2 = serving.get_session("test_session")
         t0 = time.time()
         for _ in range(5):
-            sess2.search(queries)
+            sess2.search(queries.to_dict("records"))
         per_call = (time.time() - t0) / 5
         # warm calls are ms-scale locally; the generous bound keeps this
         # meaningful (vs seconds of pipeline startup) without flaking when
@@ -639,7 +639,7 @@ class TestDiskSearchCore:
 
         # and through the long-lived disk session actor
         sess = start_disk_session(str(tmp_path / "idx"), sc, name="disk-test")
-        c = sess.search(pd.DataFrame(rows)).reset_index(drop=True)
+        c = pd.DataFrame(sess.search(rows))
         pd.testing.assert_frame_equal(a, c)
         sess.stop()
 

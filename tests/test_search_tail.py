@@ -175,8 +175,8 @@ def test_unnamed_session_runs_in_process(index, monkeypatch):
     monkeypatch.setattr(serving, "_RemoteSession", None)
     s = serving.start_session(index)
     assert type(s) is serving.Session and type(s.core) is SearchCore
-    got = s.search(pd.DataFrame({"query_id": [0], "text": ["jalan ancol"]}))
-    pd.testing.assert_frame_equal(got, SearchCore(index).search_rows([{"query_id": 0, "text": "jalan ancol"}]))
+    rows = [{"query_id": 0, "text": "jalan ancol"}]
+    pd.testing.assert_frame_equal(pd.DataFrame(s.search(rows)), SearchCore(index).search_rows(rows))
     s.warmup()
     s.stop()
 
@@ -205,13 +205,39 @@ def test_session_parity_in_process_named_batch(index, dirs, corrector):
         named = start(arg, corrector, name=f"parity-{kind}")
         try:
             assert type(local) is serving.Session
-            a = local.search(queries)
-            b = named.search(queries)
+            a = pd.DataFrame(local.search(queries.to_dict("records")))
+            b = pd.DataFrame(named.search(queries.to_dict("records")))
             pd.testing.assert_frame_equal(a, b, check_exact=True)
             got = a[batch.columns].astype(batch.dtypes.to_dict()).sort_values(key).reset_index(drop=True)
             pd.testing.assert_frame_equal(got, batch, check_exact=True, obj=kind)
         finally:
             named.stop()
+
+
+def test_session_columns_equal_frame_path(index, corrector):
+    """``Session.search`` columns, framed, equal ``search_rows`` with equal
+    dtypes for matched, unmatched (float64 ids and ranks) and empty
+    batches, in process and through a named actor; ``autocomplete`` columns
+    equal the corrector's own completions."""
+    batches = {k: v for k, v in _batches().items() if k in ("multi-row", "empty-middle", "empty-only", "no-rows")}
+    core = SearchCore(index, corrector)
+    typed = [{"query_id": 3, "text": "jalan keb"}, {"query_id": 5, "text": "zzz"}, {"query_id": 8, "text": "pantai an"}]
+    want_ac = {"query_id": [], "rank": [], "completion": []}
+    for row in typed:
+        for rank, cand in enumerate(corrector.autocomplete(tokenize(row["text"]), top_n=2), start=1):
+            want_ac["query_id"].append(row["query_id"])
+            want_ac["rank"].append(rank)
+            want_ac["completion"].append(cand[-1])
+    assert want_ac["completion"]
+    named = serving.start_session(index, corrector, name="columns-test")
+    try:
+        for s in (serving.start_session(index, corrector), named):
+            for name, rows in batches.items():
+                got, want = pd.DataFrame(s.search(rows)), core.search_rows(rows)
+                assert got.equals(want) and list(got.dtypes) == list(want.dtypes), (type(s), name)
+            assert s.autocomplete(typed, top_n=2) == want_ac
+    finally:
+        named.stop()
 
 
 def test_ann_session_parity(tmp_path):

@@ -1,9 +1,12 @@
-"""HTTP facade e2e: the reference's /api/search, /api/autocomplete and
+"""HTTP facade: the reference's /api/search, /api/autocomplete and
 /api/reverse routes (pkg/http/http-router/controllers/searcher.go:46-57)
-served over a live QuerySession — response content must equal the certified
-batch paths (the facade adds parsing/serialization only)."""
+served over a live session — response content must equal the certified
+batch paths (the facade adds parsing/serialization only). ``ServingApp.handle``
+is tested without sockets; the e2e tests go through the HTTP server."""
 
 import json
+import math
+import socket
 import urllib.error
 import urllib.request
 
@@ -11,8 +14,11 @@ import numpy as np
 import pandas as pd
 import pytest
 import ray.data
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osm_search_ray import serving
+from osm_search_ray.functions.geometry import haversine_km
 from osm_search_ray.pipelines import text_index as ti
 from osm_search_ray.serving_http import GeofenceRegistry, ServingApp, start_http_server
 from osm_search_ray.state.lm import count_ngrams
@@ -37,26 +43,32 @@ DOCS = pd.DataFrame(
 )
 
 
+GEO = (DOCS["doc_id"].to_numpy(), np.array([-6.12, -6.30, -6.12, -6.19]), np.array([106.83, 106.82, 106.84, 106.78]))
+
+
 @pytest.fixture(scope="module")
-def server():
+def built():
     index = ti.build_text_index(ray.data.from_pandas(DOCS))
     corpus = [(n + " " + a).lower().split() for n, a in zip(DOCS["name"], DOCS["address"])]
     lm = count_ngrams(corpus)
-    sc = SpellCorrector.build(lm.full_vocab, lm)
-    session = serving.start_session(index, corrector=sc, name="http-test")
-    app = ServingApp(
-        session,
-        geofences=GeofenceRegistry(),
-        geo=(
-            DOCS["doc_id"].to_numpy(),
-            np.array([-6.12, -6.30, -6.12, -6.19]),
-            np.array([106.83, 106.82, 106.84, 106.78]),
-        ),
-    )
+    return index, SpellCorrector.build(lm.full_vocab, lm)
+
+
+@pytest.fixture(scope="module")
+def server(built):
+    session = serving.start_session(*built, name="http-test")
+    app = ServingApp(session, geofences=GeofenceRegistry(), geo=GEO)
     srv, port = start_http_server(app)
     yield session, port
     srv.shutdown()
+    srv.server_close()
     session.stop()
+
+
+@pytest.fixture()
+def app(built):
+    """A fresh app over an in-process session and an empty registry."""
+    return ServingApp(serving.start_session(*built), geofences=GeofenceRegistry(), geo=GEO)
 
 
 def _get(port: int, path: str):
@@ -69,17 +81,15 @@ class TestHttpFacade:
         session, port = server
         status, body = _get(port, "/api/search?q=pantai%20ancol")
         assert status == 200
-        want = session.search(
-            pd.DataFrame({"query_id": [0], "text": ["pantai ancol"]})
-        ).sort_values("rank")
+        want = session.search([{"query_id": 0, "text": "pantai ancol"}])
         got_ids = [r["doc_id"] for r in body["results"]]
-        assert got_ids == want["doc_id"].astype(int).tolist()
+        assert got_ids == want["doc_id"].tolist()
 
     def test_search_offset_keeps_rank_order_and_types(self, server):
         session, port = server
         status, body = _get(port, "/api/search?q=jalan&offset=2")
         assert status == 200
-        want = session.search(pd.DataFrame({"query_id": [0], "text": ["jalan"]})).sort_values("rank")
+        want = pd.DataFrame(session.search([{"query_id": 0, "text": "jalan"}]))
         want = want[want["rank"] >= 3]
         assert len(want) >= 1
         res = body["results"]
@@ -93,10 +103,8 @@ class TestHttpFacade:
         session, port = server
         status, body = _get(port, "/api/autocomplete?q=kebun%20bina")
         assert status == 200
-        want = session.autocomplete(
-            pd.DataFrame({"query_id": [0], "text": ["kebun bina"]}), top_n=3
-        )
-        assert body["completions"] == want.sort_values("rank")["completion"].tolist()
+        want = session.autocomplete([{"query_id": 0, "text": "kebun bina"}], top_n=3)
+        assert body["completions"] == want["completion"]
 
     def test_reverse_nearest_doc(self, server):
         _, port = server
@@ -119,6 +127,114 @@ class TestHttpFacade:
         except urllib.error.HTTPError as e:
             status, body = e.code, json.loads(e.read())
         assert status == 404
+
+    def test_response_has_content_length_and_connection_closes(self, server):
+        _, port = server
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as c:
+            c.sendall(b"GET /api/search?q=jalan HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            raw = b""
+            while chunk := c.recv(65536):  # b"" once the server has closed
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert lines[0] == "HTTP/1.0 200 OK"
+        assert headers["Content-Type"] == "application/json"
+        assert int(headers["Content-Length"]) == len(body)
+        assert json.loads(body)["query"] == "jalan"
+
+
+class TestHandle:
+    """``ServingApp.handle`` without sockets: every route, 404 and 400."""
+
+    def test_search_and_autocomplete(self, app):
+        st_, body = app.handle("GET", "/api/search", "q=jalan+ancol&offset=1")
+        want = app.session.search([{"query_id": 0, "text": "jalan ancol"}])
+        assert st_ == 200 and body["query"] == "jalan ancol"
+        assert [r["doc_id"] for r in body["results"]] == want["doc_id"][1:].tolist()
+        assert [r["rank"] for r in body["results"]] == want["rank"][1:].tolist()
+        st_, body = app.handle("GET", "/api/autocomplete", "q=kebun%20bina")
+        assert st_ == 200
+        assert body["completions"] == app.session.autocomplete([{"query_id": 0, "text": "kebun bina"}])["completion"]
+        assert app.handle("GET", "/api/search", "q=") == (400, {"error": "missing q"})
+
+    def test_reverse(self, app):
+        assert app.handle("GET", "/api/reverse", "lat=-6.121&lon=106.831")[1]["doc_id"] == 0
+        assert app.handle("GET", "/api/reverse", "lat=x&lon=1")[0] == 400
+
+    def test_geofence_routes(self, app):
+        assert app.handle("POST", "/api/geofence", "", b'{"fence_name": "f"}')[0] == 200
+        point = {"fence_point_name": "hq", "lat": -6.2, "lon": 106.8, "radius": 1.0}
+        assert app.handle("POST", "/api/geofence/f/point", "", json.dumps(point).encode())[0] == 200
+        st_, body = app.handle("GET", "/api/geofence/f", "lat=-6.2&lon=106.8&query_point_id=car")
+        assert st_ == 200 and {s["status"] for s in body["statuses"]} == {"ENTER", "INSIDE"}
+        assert app.handle("DELETE", "/api/geofence/f")[0] == 200
+        assert app.handle("DELETE", "/api/geofence/f")[0] == 400
+
+    def test_not_found_and_malformed_body(self, app):
+        assert app.handle("GET", "/api/nope") == (404, {"error": "no route GET /api/nope"})
+        assert app.handle("POST", "/api/search")[0] == 404
+        for body in (b"{", b"not json", b"[1, 2]", b"\xff"):
+            st_, payload = app.handle("POST", "/api/geofence", "", body)
+            assert st_ == 400 and "error" in payload, body
+        app.handle("POST", "/api/geofence", "", b'{"fence_name": "f"}')
+        assert app.handle("POST", "/api/geofence/f/point", "", b'{"lat": 1')[0] == 400
+
+
+class TestBadCoordinates:
+    """Non-finite or out-of-range coordinates get 400 on every route that
+    takes a point, and a rejected status request stores no position."""
+
+    BAD = ("lat=nan&lon=0", "lat=0&lon=nan", "lat=999&lon=0", "lat=0&lon=-181", "lat=inf&lon=0")
+
+    def test_reverse(self, app):
+        for q in self.BAD:
+            assert app.handle("GET", "/api/reverse", q) == (400, {"error": "lat/lon out of range"}), q
+
+    def test_geofence_status(self, app):
+        app.handle("POST", "/api/geofence", "", b'{"fence_name": "f"}')
+        point = {"fence_point_name": "hq", "lat": 0.0, "lon": 0.0, "radius": 1.0}
+        app.handle("POST", "/api/geofence/f/point", "", json.dumps(point).encode())
+        for q in self.BAD:
+            assert app.handle("GET", "/api/geofence/f", q + "&query_point_id=car")[0] == 400, q
+        # the first accepted sighting is still a first sighting: ENTER
+        st_, body = app.handle("GET", "/api/geofence/f", "lat=0&lon=0&query_point_id=car")
+        assert st_ == 200 and {s["status"] for s in body["statuses"]} == {"ENTER", "INSIDE"}
+
+    def test_add_point(self, app):
+        app.handle("POST", "/api/geofence", "", b'{"fence_name": "f"}')
+        for lat, lon in ((math.nan, 0.0), (0.0, math.nan), (91.0, 0.0), (0.0, math.inf)):
+            body = json.dumps({"fence_point_name": "p", "lat": lat, "lon": lon, "radius": 1.0}).encode()
+            assert app.handle("POST", "/api/geofence/f/point", "", body)[0] == 400, (lat, lon)
+
+
+_COORD = st.sampled_from([-6.2, -6.1, 0.0, 45.0, 90.0, -90.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    geo=st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([-6.2, -6.1, 0.0, 45.0, math.nan]), st.sampled_from([106.8, 0.0, 180.0, -180.0, math.nan])),
+        min_size=1,
+        max_size=12,
+    ),
+    lat=_COORD,
+    lon=st.sampled_from([106.8, 0.0, 90.0, 180.0, -180.0]),
+)
+def test_reverse_equals_lexsort(geo, lat, lon):
+    """The reverse route's min-then-smallest-doc_id pick equals the full
+    lexsort by (distance, doc_id) it replaced, over tied distances,
+    duplicate doc_ids and NaN coordinates (a NaN distance sorts last)."""
+    ids, lats, lons = (np.array(c) for c in zip(*geo))
+    app = ServingApp(None, geo=(ids, lats, lons))
+    status, got = app.handle("GET", "/api/reverse", f"lat={lat!r}&lon={lon!r}")
+    d = haversine_km(lat, lon, lats.astype(np.float64), lons.astype(np.float64))
+    if np.isnan(d).all():
+        assert status == 400
+        return
+    best = np.lexsort((ids, d))[0]
+    assert status == 200
+    assert got == {"doc_id": int(ids[best]), "lat": float(lats[best]), "lon": float(lons[best]), "dist_km": float(d[best])}
 
 
 class TestGeofenceCrud:

@@ -8,7 +8,7 @@ Measures BOTH session shapes over the sf-dir ``documents`` two-field index:
     reads per request, the shape for indexes that exceed RAM)
 and two request patterns:
   * per-request round-trips (sequential; p50/p95 latency + derived rps)
-  * batched submission (one actor call per 100-query frame — the engine's
+  * batched submission (one actor call per 100-query batch — the engine's
     natural high-throughput form; reported as queries/s)
 
 Usage:  python tools/bench_serving.py [sf_dir] [n_requests]
@@ -26,7 +26,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
 import numpy as np
-import pandas as pd
 import ray
 
 
@@ -91,19 +90,18 @@ def main() -> None:
     for label, sess in sessions.items():
         results[label] = {}
         for pname, pool in pools.items():
-            sess.search(pd.DataFrame(pool))  # warm + answers guard
-            frames = [pd.DataFrame([pool[i % len(pool)]]) for i in range(n_req)]
+            sess.search(pool)  # warm + answers guard
             lat = np.empty(n_req)
-            for i, f in enumerate(frames):  # frames pre-built: timing is the round-trip
+            for i in range(n_req):
                 t = time.perf_counter()
-                sess.search(f)
+                sess.search([pool[i % len(pool)]])
                 lat[i] = time.perf_counter() - t
-            frame = pd.DataFrame((pool * (100 // len(pool) + 1))[:100])
+            batch = (pool * (100 // len(pool) + 1))[:100]
             tb = time.perf_counter()
             reps = 20
             for _ in range(reps):
-                sess.search(frame)
-            batch_qps = reps * len(frame) / (time.perf_counter() - tb)
+                sess.search(batch)
+            batch_qps = reps * len(batch) / (time.perf_counter() - tb)
             results[label][pname] = {
                 "rps_sequential": round(1.0 / lat.mean(), 1),
                 "p50_ms": round(float(np.percentile(lat, 50)) * 1000, 2),
