@@ -152,6 +152,8 @@ class ServingApp:
         offset = int(qs.get("offset", ["0"])[0])
         if not text:
             raise ValueError("missing q")
+        if offset < 0:  # as the batch validate_queries drops such rows
+            raise ValueError("offset must be >= 0")
         cols = self.session.search([{"query_id": 0, "text": text}])
         # one query: rows come in rank order; numpy scalars become Python
         # ints/floats via tolist
@@ -222,13 +224,20 @@ class ServingApp:
             return self.geofences.add_point(
                 parts[0],
                 req.get("fence_point_name", ""),
-                float(req["lat"]),
-                float(req["lon"]),
-                float(req["radius"]),
+                *(self._number(req, k) for k in ("lat", "lon", "radius")),
             )
         if method == "GET" and len(parts) == 1:
             return self.geofences.search(parts[0], *self._lat_lon(qs), qs.get("query_point_id", ["q"])[0])
         raise ValueError(f"no geofence route {method} {path}")
+
+    @staticmethod
+    def _number(req: dict, name: str) -> float:
+        """A JSON number field; null, a string, a list, an object or a bool
+        is a bad request."""
+        v = req[name]
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{name} must be a number")
+        return float(v)
 
     @staticmethod
     def _read_json(body: bytes) -> dict:

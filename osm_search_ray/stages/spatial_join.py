@@ -3,27 +3,32 @@
 The reference enriches every document with its containing admin areas by
 querying global R-trees + winding-number PIP inside one process
 (pkg/index/indexer.go:1017-1170).  At cluster scale there is no global tree;
-this module provides the two Ray-Data-native shapes:
+this module provides the two Ray-Data-native shapes, one code path each:
 
   broadcast_pip_join   polygon side small (admin boundaries for a country):
-                       the polygon set is ``ray.put`` once; a stateless-ish
-                       actor pool builds a bbox-grid index per actor ONCE in
-                       ``__init__`` and streams point batches through it.
-                       No shuffle at all — the 100 TB point side never moves.
+                       the PolygonSet is ``ray.put`` once and every
+                       stateless point-batch task ``ray.get``s it
+                       (zero-copy from the object store). No shuffle at
+                       all — the point side never moves.
 
   partitioned_pip_join both sides large: points keyed to their coarse grid
                        cell, polygons exploded to every cell their MBR
-                       covers, then a hash-partitioned ``groupby(cell)``
-                       co-locates them and a per-group vectorized PIP runs.
-                       Hot cells are SALTED (points spread across
-                       ``cell#salt`` replicas, polygons replicated to every
-                       salt) so one dense urban tile cannot straggle the
-                       shuffle; results need no dedup because each point
-                       lands in exactly one (cell, salt).
+                       covers, both sides tagged into one typed Arrow union
+                       and co-located on (cell, salt) by the one exchange
+                       (``joins._exchange``); one Arrow/numpy kernel per
+                       partition runs the PIP test per (cell, salt). Hot
+                       cells are SALTED (points spread across ``salt``
+                       replicas, polygons copied to every salt) so one
+                       dense urban tile cannot straggle the shuffle;
+                       results need no dedup because each point lands in
+                       exactly one (cell, salt).
 
 Polygons are plain numpy rings (no shapely in this environment): a
-``PolygonSet`` of bboxes + ring arrays with a uniform-grid candidate index —
-the same filter-then-exact-test shape as an STRtree, built per actor/partition.
+``PolygonSet`` of bboxes + ring arrays. ``locate`` loops over the
+polygons, prefilters the points by each polygon's bbox (one vectorized
+interval test) and runs the exact winding-number test on the survivors —
+a linear scan over polygons, meant for the few polygons of a broadcast
+set or of one partition's cell.
 """
 
 from __future__ import annotations
@@ -31,18 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
-from .joins import default_actor_pool
 
 from ..functions.cells import RES_COARSE, cell_of, cover_bbox
 from ..functions.geometry import points_in_polygon
+from ..functions.hashing import splitmix64
+from .joins import _arrow_schema, _exchange, _tag, default_num_parts
 
 
 @dataclass
 class PolygonSet:
-    """Columnar polygon collection + uniform-grid candidate index."""
+    """Columnar polygon collection: per-polygon bbox + ring arrays."""
 
     poly_id: np.ndarray  # (P,) int64
     bbox: np.ndarray  # (P, 4) float64 rows (lat0, lon0, lat1, lon1)
@@ -106,37 +111,30 @@ class PolygonSet:
         return np.concatenate(out_pt), np.concatenate(out_pl)
 
 
-class BroadcastPIPJoiner:
-    """Actor-pool stage for the broadcast join: the PolygonSet is shipped to
-    the object store ONCE (``ray.put`` on the driver) and each actor
-    materializes it once in ``__init__`` — never per batch."""
-
-    def __init__(self, poly_ref, lat_col: str, lon_col: str, how: str, id_out: str):
-        self.polys: PolygonSet = ray.get(poly_ref) if not isinstance(poly_ref, PolygonSet) else poly_ref
-        self.lat_col, self.lon_col, self.how, self.id_out = lat_col, lon_col, how, id_out
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lat = batch.column(self.lat_col).to_numpy()
-        lon = batch.column(self.lon_col).to_numpy()
-        pt_idx, pl_idx = self.polys.locate(lat, lon)
-        if self.how == "inner":
-            out = batch.take(pa.array(pt_idx))
-            out = out.append_column(self.id_out, pa.array(self.polys.poly_id[pl_idx], pa.int64()))
-            if self.polys.payload:
-                for name, col in self.polys.payload.items():
-                    out = out.append_column(name, pa.array(col[pl_idx]))
-            return out
-        # left join: unmatched points keep null polygon id
-        n = len(batch)
-        first = np.full(n, -1, dtype=np.int64)
-        # keep the FIRST matching polygon per point (reference first-match rule,
-        # pkg/index/indexer.go:1060-1065); callers needing all matches use inner.
-        for p, g in zip(pt_idx[::-1], pl_idx[::-1]):
-            first[p] = g
-        ids = np.where(first >= 0, self.polys.poly_id[np.clip(first, 0, None)], -1)
-        return batch.append_column(
-            self.id_out, pa.array(np.where(first >= 0, ids, None), pa.int64(), from_pandas=True)
-        )
+def pip_join_batch(
+    batch: pa.Table, polys: PolygonSet, lat_col: str, lon_col: str, how: str, id_out: str
+) -> pa.Table:
+    """Join one point batch against the whole PolygonSet — the per-task
+    body of the broadcast join."""
+    lat = batch.column(lat_col).to_numpy()
+    lon = batch.column(lon_col).to_numpy()
+    pt_idx, pl_idx = polys.locate(lat, lon)
+    if how == "inner":
+        out = batch.take(pa.array(pt_idx))
+        out = out.append_column(id_out, pa.array(polys.poly_id[pl_idx], pa.int64()))
+        if polys.payload:
+            for name, col in polys.payload.items():
+                out = out.append_column(name, pa.array(col[pl_idx]))
+        return out
+    # left join: unmatched points keep null polygon id
+    n = len(batch)
+    first = np.full(n, -1, dtype=np.int64)
+    # keep the FIRST matching polygon per point (reference first-match rule,
+    # pkg/index/indexer.go:1060-1065); callers needing all matches use inner.
+    for p, g in zip(pt_idx[::-1], pl_idx[::-1]):
+        first[p] = g
+    ids = np.where(first >= 0, polys.poly_id[np.clip(first, 0, None)], -1)
+    return batch.append_column(id_out, pa.array(np.where(first >= 0, ids, None), pa.int64(), from_pandas=True))
 
 
 def broadcast_pip_join(
@@ -146,31 +144,17 @@ def broadcast_pip_join(
     lon_col: str = "lon",
     how: str = "inner",
     id_out: str = "poly_id",
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 32768,
-    mode: str = "tasks",
 ) -> "ray.data.Dataset":
-    """Stream the (huge) point dataset through a broadcast polygon index.
-
-    ``mode="tasks"`` (default): stateless tasks that ``ray.get`` the shared
-    PolygonSet per task — zero-copy from the object store, and the task pool
-    scales elastically with available CPUs (an autoscaling ACTOR pool ramps
-    too slowly to saturate a wide node on short stages). Use
-    ``mode="actors"`` when per-worker index construction is expensive enough
-    to amortize (huge polygon sets): state then builds once per actor."""
+    """Stream the (huge) point dataset through a broadcast polygon set:
+    stateless tasks ``ray.get`` the shared PolygonSet per task — zero-copy
+    from the object store, and the task pool scales elastically with the
+    available CPUs."""
     ref = ray.put(polys)
-    if mode == "tasks":
-        def join_task(batch: pa.Table) -> pa.Table:
-            return BroadcastPIPJoiner(ref, lat_col, lon_col, how, id_out)(batch)
 
-        return points.map_batches(join_task, batch_format="pyarrow", batch_size=batch_size)
-    return points.map_batches(
-        BroadcastPIPJoiner,
-        fn_constructor_kwargs=dict(poly_ref=ref, lat_col=lat_col, lon_col=lon_col, how=how, id_out=id_out),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_actor_pool(2),
-    )
+    def join_task(batch: pa.Table) -> pa.Table:
+        return pip_join_batch(batch, ray.get(ref), lat_col, lon_col, how, id_out)
+
+    return points.map_batches(join_task, batch_format="pyarrow", batch_size=32768)
 
 
 # ---------------------------------------------------------------------------
@@ -178,56 +162,44 @@ def broadcast_pip_join(
 # ---------------------------------------------------------------------------
 
 
-def _serialize_rings(rings: list[tuple[np.ndarray, np.ndarray]]) -> list[list[float]]:
-    return [np.concatenate([r[0], r[1]]).tolist() for r in rings]
-
-
 def _deserialize_ring(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    flat = np.asarray(flat, dtype=np.float64)
     half = len(flat) // 2
     return flat[:half], flat[half:]
 
 
 def polygons_to_cell_rows(polys: PolygonSet, res: int = RES_COARSE) -> pa.Table:
-    """Explode each polygon to one row per covering cell (its MBR cover)."""
-    cells: list[np.ndarray] = []
-    ids: list[np.ndarray] = []
-    ring_rows: list[list[float]] = []
-    flat_rings = _serialize_rings(polys.rings)
-    for j in range(len(polys.rings)):
-        b = polys.bbox[j]
-        cv = cover_bbox(b[0], b[1], b[2], b[3], res)
-        cells.append(cv)
-        ids.append(np.full(len(cv), polys.poly_id[j], dtype=np.int64))
-        ring_rows.extend([flat_rings[j]] * len(cv))
-    return pa.table(
+    """Explode each polygon to one row per covering cell (its MBR cover);
+    ``ring`` holds the ring's lats then its lons."""
+    covers = [cover_bbox(*b, res) for b in polys.bbox]
+    per_poly = pa.table(
         {
-            "cell": pa.array(np.concatenate(cells) if cells else np.empty(0, np.int64)),
-            "poly_id": pa.array(np.concatenate(ids) if ids else np.empty(0, np.int64)),
-            "ring": pa.array(ring_rows, pa.list_(pa.float64())),
+            "poly_id": pa.array(polys.poly_id),
+            "ring": pa.array([np.concatenate(r) for r in polys.rings], pa.list_(pa.float64())),
         }
     )
+    rows = per_poly.take(pa.array(np.repeat(np.arange(len(covers)), [len(c) for c in covers])))
+    return rows.add_column(0, "cell", pa.array(np.concatenate(covers) if covers else np.empty(0, np.int64)))
 
 
 def compute_salts(points: "ray.data.Dataset", lat_col: str, lon_col: str, res: int, hot_threshold: int) -> dict[int, int]:
-    """Skew pre-pass: per-cell counts via partial aggregation; returns
-    {cell: n_salts} for cells whose point count exceeds ``hot_threshold``.
-
-    This is the cheap ``groupby(cell).count()`` the north rule asks for,
-    done as per-batch partial counts + a tiny driver-side merge (the partial
-    output is ≤ one row per cell per block, not per point)."""
+    """Skew pre-pass: per-cell point counts; returns {cell: n_salts} for the
+    cells whose count exceeds ``hot_threshold``. Each block emits partial
+    counts (≤ one row per cell per block, not per point), merged by one
+    Arrow ``group_by`` on the driver."""
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         cells = cell_of(batch.column(lat_col).to_numpy(), batch.column(lon_col).to_numpy(), res)
         u, c = np.unique(cells, return_counts=True)
-        return pa.table({"cell": u, "n": c})
+        return pa.table({"cell": pa.array(u, pa.int64()), "n": pa.array(c, pa.int64())})
 
     parts = points.map_batches(partial_counts, batch_format="pyarrow")
-    merged: dict[int, int] = {}
-    for b in parts.iter_batches(batch_format="pyarrow"):
-        for cell, n in zip(b.column("cell").to_numpy(), b.column("n").to_numpy()):
-            merged[int(cell)] = merged.get(int(cell), 0) + int(n)
-    return {c: int(np.ceil(n / hot_threshold)) for c, n in merged.items() if n > hot_threshold}
+    tables = [t for t in parts.iter_batches(batch_format="pyarrow", batch_size=None) if len(t)]
+    if not tables:
+        return {}
+    merged = pa.concat_tables(tables).group_by("cell").aggregate([("n", "sum")])
+    cell, n = merged.column("cell").to_numpy(), merged.column("n_sum").to_numpy()
+    hot = n > hot_threshold
+    return dict(zip(cell[hot].tolist(), np.ceil(n[hot] / hot_threshold).astype(np.int64).tolist()))
 
 
 def partitioned_pip_join(
@@ -240,92 +212,74 @@ def partitioned_pip_join(
     hot_threshold: int = 200_000,
     salts: dict[int, int] | None = None,
 ) -> "ray.data.Dataset":
-    """Cell-partitioned PIP join: shuffle both sides on (cell, salt), join
-    inside ``map_groups``. Exact; inner semantics; each point emits one row
-    per containing polygon."""
+    """Cell-partitioned PIP join. Exact; inner semantics; each point emits
+    one row per containing polygon: the point's columns at their own Arrow
+    types, then ``id_out`` (int64).
+
+    The point side is materialized first, so the salt pre-pass
+    (``compute_salts``, unless ``salts`` is given) and the schema read use
+    its stored blocks and the upstream runs once. A point's salt is a
+    splitmix64 spread over its cell's salt count; each polygon cell row is
+    copied once per salt. Both sides are tagged into one typed union
+    (``joins._tag``: one column order, typed nulls) and exchanged on
+    (cell, salt); one kernel per partition groups the rows by (cell, salt)
+    with one stable sort and runs ``PolygonSet.locate`` per group."""
+    points = points.materialize()
+    if points.schema() is None:  # an upstream that yields no block: nothing to join
+        return points
+    points, types = _arrow_schema(points)
     if salts is None:
         salts = compute_salts(points, lat_col, lon_col, res, hot_threshold)
-    salts_ref = ray.put(salts)
+    hot = np.asarray(sorted(salts), dtype=np.int64)
+    hot_salts = np.asarray([salts[c] for c in hot.tolist()], dtype=np.int64)
+
+    def salt_count(cells: np.ndarray) -> np.ndarray:
+        if not len(hot):
+            return np.ones(len(cells), dtype=np.int64)
+        i = np.minimum(np.searchsorted(hot, cells), len(hot) - 1)
+        return np.where(hot[i] == cells, hot_salts[i], 1)
+
+    point_cols = list(types)
+    # internal columns are dunder-named, so no point column can clash
+    types = {**types, "__salt": pa.int64(), "__poly_id": pa.int64(), "__ring": pa.list_(pa.float64())}
+    pt_src = {**{c: c for c in point_cols}, "__salt": "__salt"}
 
     def key_points(batch: pa.Table) -> pa.Table:
-        s = ray.get(salts_ref)
-        lat = batch.column(lat_col).to_numpy()
-        lon = batch.column(lon_col).to_numpy()
-        cells = cell_of(lat, lon, res)
-        if s:
-            nsalt = np.asarray([s.get(int(c), 1) for c in cells], dtype=np.int64)
-            # deterministic point→salt spread (stable across retries/resume)
-            from ..functions.hashing import splitmix64
+        cells = cell_of(batch.column(lat_col).to_numpy(), batch.column(lon_col).to_numpy(), res)
+        # deterministic point→salt spread (stable across retries/resume)
+        mix = splitmix64(cells.astype(np.uint64) ^ np.arange(len(cells), dtype=np.uint64))
+        salt = (mix % salt_count(cells).astype(np.uint64)).astype(np.int64)
+        batch = batch.append_column("__cell", pa.array(cells)).append_column("__salt", pa.array(salt))
+        return _tag(batch, 0, "__cell", pa.int64(), pt_src, types)
 
-            salt = (splitmix64(cells.astype(np.uint64) ^ np.arange(len(cells), dtype=np.uint64)) % nsalt.astype(np.uint64)).astype(np.int64)
-        else:
-            salt = np.zeros(len(cells), dtype=np.int64)
-        out = batch.append_column("cell", pa.array(cells))
-        out = out.append_column("salt", pa.array(salt))
-        out = out.append_column("side", pa.array(np.zeros(len(cells), dtype=np.int8)))
-        return out
+    rows = polygons_to_cell_rows(polys, res)
+    reps = salt_count(rows.column("cell").to_numpy())
+    rows = rows.take(pa.array(np.repeat(np.arange(len(reps)), reps)))
+    salt = np.arange(len(rows)) - np.repeat(np.cumsum(reps) - reps, reps)
+    rows = rows.append_column("salt", pa.array(salt, pa.int64()))
+    poly_side = _tag(rows, 1, "cell", pa.int64(), {"__salt": "salt", "__poly_id": "poly_id", "__ring": "ring"}, types)
 
-    def key_polys(batch: pa.Table) -> pa.Table:
-        s = ray.get(salts_ref)
-        cells = batch.column("cell").to_numpy()
-        reps = np.asarray([s.get(int(c), 1) for c in cells], dtype=np.int64)
-        idx = np.repeat(np.arange(len(cells), dtype=np.int64), reps)
-        salt = np.concatenate([np.arange(r, dtype=np.int64) for r in reps]) if len(reps) else np.empty(0, np.int64)
-        out = batch.take(pa.array(idx))
-        out = out.append_column("salt", pa.array(salt))
-        out = out.append_column("side", pa.array(np.ones(len(idx), dtype=np.int8)))
-        return out
+    def join_partition(t: pa.Table) -> pa.Table:
+        cell, salt = t.column("__key").to_numpy(), t.column("__salt").to_numpy()
+        is_pl = t.column("__side").to_numpy() == 1
+        order = np.lexsort((is_pl, salt, cell))  # per (cell, salt): points, then polygons
+        cs, ss = cell[order], salt[order]
+        starts = np.flatnonzero(np.r_[True, (cs[1:] != cs[:-1]) | (ss[1:] != ss[:-1])])
+        lat, lon = t.column(lat_col).to_numpy(), t.column(lon_col).to_numpy()
+        ring = t.column("__ring").combine_chunks()
+        offs, vals = ring.offsets.to_numpy(), ring.values.to_numpy()
+        pid = t.column("__poly_id").fill_null(0).to_numpy()
+        out_pt, out_id = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for g in np.split(order, starts[1:]):
+            pts, pls = g[~is_pl[g]], g[is_pl[g]]
+            if len(pts) == 0 or len(pls) == 0:
+                continue
+            pset = PolygonSet.from_rings(pid[pls], [_deserialize_ring(vals[offs[j] : offs[j + 1]]) for j in pls])
+            pt_idx, pl_idx = pset.locate(lat[pts], lon[pts])
+            out_pt.append(pts[pt_idx])
+            out_id.append(pset.poly_id[pl_idx])
+        out = t.select(point_cols).take(pa.array(np.concatenate(out_pt)))
+        return out.append_column(id_out, pa.array(np.concatenate(out_id), pa.int64()))
 
-    pts_keyed = points.map_batches(key_points, batch_format="pyarrow")
-    poly_rows = polygons_to_cell_rows(polys, res)
-    polys_keyed = ray.data.from_arrow(poly_rows).map_batches(key_polys, batch_format="pyarrow")
-
-    schema = points.schema()
-    types = dict(zip(schema.names, schema.types))
-    point_cols = list(schema.names)
-    # unify schemas for union: points get null ring/poly_id, polys null point
-    # cols of the points' own types
-    def widen_points(t: pa.Table) -> pa.Table:
-        t = t.append_column("poly_id", pa.nulls(len(t), pa.int64()))
-        return t.append_column("ring", pa.nulls(len(t), pa.list_(pa.float64())))
-
-    def widen_polys(t: pa.Table) -> pa.Table:
-        for c in point_cols:
-            t = t.append_column(c, pa.nulls(len(t), types[c]))
-        return t
-
-    pts_keyed = pts_keyed.map_batches(widen_points, batch_format="pyarrow")
-    polys_keyed = polys_keyed.map_batches(widen_polys, batch_format="pyarrow")
-    both = pts_keyed.union(polys_keyed)
-
-    def join_group(g: pd.DataFrame) -> pd.DataFrame:
-        pts = g[g["side"] == 0]
-        pls = g[g["side"] == 1]
-        if len(pts) == 0 or len(pls) == 0:
-            return pd.DataFrame({c: pd.Series(dtype=t) for c, t in zip(g.columns, g.dtypes)}).iloc[0:0]
-        rings = [_deserialize_ring(r) for r in pls["ring"]]
-        pset = PolygonSet.from_rings(pls["poly_id"].to_numpy(dtype=np.int64), rings)
-        pt_idx, pl_idx = pset.locate(pts[lat_col].to_numpy(), pts[lon_col].to_numpy())
-        out = pts.iloc[pt_idx].copy()
-        out["poly_id"] = pset.poly_id[pl_idx]
-        return out
-
-    from .joins import grouped_apply_bounded
-
-    joined = grouped_apply_bounded(both, ["cell", "salt"], join_group)
-    keep = point_cols + ["poly_id"]
-    joined = joined.select_columns(keep)
-
-    # restore point-column dtypes (the union with the all-null polygon side
-    # upcasts int columns to float in pandas groups) and apply the output name
-    def finalize(t: pa.Table) -> pa.Table:
-        arrays, names = [], []
-        for c in keep:
-            col = t.column(c)
-            if c in types and col.type != types[c]:
-                col = col.cast(types[c])
-            names.append(id_out if c == "poly_id" else c)
-            arrays.append(col)
-        return pa.table(dict(zip(names, arrays)))
-
-    return joined.map_batches(finalize, batch_format="pyarrow")
+    sides = [points.map_batches(key_points, batch_format="pyarrow"), ray.data.from_arrow(poly_side)]
+    return _exchange(sides, ["__key", "__salt"], join_partition, default_num_parts(), "pyarrow")

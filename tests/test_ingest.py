@@ -4,6 +4,8 @@ import numpy as np
 import pyarrow.parquet as pq
 import pytest
 import ray.data
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from osm_search_ray.pipelines import ingest
 from osm_search_ray.sources.fixtures import GOLDEN_PLACES, SPIMI_NODE_NAMES, SPIMI_WAY_NAMES, make_osm_tables
@@ -262,6 +264,100 @@ def test_partitioned_join_on_pages_to_geo_equals_broadcast(tmp_path):
     pd.testing.assert_frame_equal(
         a[key].sort_values(key).reset_index(drop=True), b[key].sort_values(key).reset_index(drop=True)
     )
+
+
+def _salt_case_points(seed: int, n: int):
+    """n points in a ~0.3° square (several coarse cells) with an int32
+    column holding nulls and a string column — named like columns the
+    partitioned join adds internally — plus four rects, the first covering
+    every point."""
+    import pyarrow as pa
+
+    from osm_search_ray.stages.spatial_join import PolygonSet
+
+    rng = np.random.default_rng(seed)
+    pts = pa.table(
+        {
+            "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+            "lat": pa.array(-6.3 + rng.uniform(0, 0.3, n)),
+            "lon": pa.array(106.7 + rng.uniform(0, 0.3, n)),
+            "salt": pa.array(rng.integers(-9, 9, n).astype(np.int32), mask=rng.uniform(0, 1, n) < 0.2),
+            "ring": pa.array([f"p{int(v)}" * int(v % 3) for v in rng.integers(0, 99, n)]),
+        }
+    )
+    rects = pa.table(
+        {
+            "rect_id": pa.array(np.arange(4, dtype=np.int64)),
+            "lat0": pa.array([-6.35, -6.25, -6.2, -6.1]),
+            "lon0": pa.array([106.65, 106.7, 106.8, 106.75]),
+            "lat1": pa.array([-5.95, -6.1, -6.0, -6.05]),
+            "lon1": pa.array([107.05, 106.9, 107.0, 106.95]),
+        }
+    )
+    return pts, PolygonSet.from_rects(rects)
+
+
+def _blocks(t, k: int) -> "ray.data.Dataset":
+    cuts = np.linspace(0, len(t), k + 1).astype(int)
+    return ray.data.from_arrow([t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+def _sorted_table(ds):
+    import pyarrow as pa
+
+    t = pa.concat_tables(ray.get(ds.to_arrow_refs()))
+    return t.sort_by([("doc_id", "ascending"), ("rect_id", "ascending")])
+
+
+@pytest.mark.parametrize("n_blocks,hot_threshold", [(1, 200_000), (4, 50)])
+def test_partitioned_join_runs_its_upstream_once(tmp_path, n_blocks, hot_threshold):
+    """The partitioned join materializes its point side first, so the salt
+    pre-pass, the schema read and the join read stored blocks: an upstream
+    stage processes each input row exactly once, salted or not."""
+    from osm_search_ray.functions.cells import RES_COARSE
+    from osm_search_ray.stages.spatial_join import compute_salts, partitioned_pip_join
+
+    pts, polys = _salt_case_points(7, 2000)
+    assert bool(compute_salts(_blocks(pts, n_blocks), "lat", "lon", RES_COARSE, hot_threshold)) == (hot_threshold == 50)
+    log = tmp_path / "batch_rows.txt"
+
+    def counting(t):
+        with open(log, "a") as f:
+            f.write(f"{len(t)}\n")
+        return t
+
+    upstream = _blocks(pts, n_blocks).map_batches(counting, batch_format="pyarrow")
+    out = partitioned_pip_join(upstream, polys, id_out="rect_id", hot_threshold=hot_threshold)
+    assert out.count() >= len(pts)  # the first rect covers every point
+    assert sum(int(x) for x in log.read_text().split()) == len(pts)
+
+
+@st.composite
+def _salt_maps(draw):
+    from osm_search_ray.functions.cells import RES_COARSE, cell_of
+
+    seed, n = draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 200))
+    pts, polys = _salt_case_points(seed, n)
+    present = np.unique(cell_of(pts.column("lat").to_numpy(), pts.column("lon").to_numpy(), RES_COARSE)).tolist()
+    absent = [0, 12345, 2**24 - 1]  # cells with no point and no polygon
+    cells = draw(st.lists(st.sampled_from(present + absent), unique=True, max_size=len(present) + 3))
+    salts = {c: draw(st.integers(1, 8)) for c in cells}
+    return pts, polys, salts, draw(st.integers(1, 3))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_salt_maps())
+def test_partitioned_join_any_salt_map_equals_broadcast(case):
+    """Salting moves rows between partitions, never changes the result: any
+    salt map (absent cells, 1..8 salts) gives broadcast_pip_join's rows, with
+    the point columns' Arrow types (int32 with nulls, string) kept."""
+    from osm_search_ray.stages.spatial_join import broadcast_pip_join, partitioned_pip_join
+
+    pts, polys, salts, n_blocks = case
+    want = _sorted_table(broadcast_pip_join(_blocks(pts, n_blocks), polys, id_out="rect_id"))
+    got = _sorted_table(partitioned_pip_join(_blocks(pts, n_blocks), polys, id_out="rect_id", salts=salts))
+    assert got.schema == want.schema and got.schema.field("salt").type == "int32"
+    assert got.equals(want)
 
 
 def test_street_grid_equals_bruteforce():

@@ -158,6 +158,11 @@ class TestHandle:
         assert body["completions"] == app.session.autocomplete([{"query_id": 0, "text": "kebun bina"}])["completion"]
         assert app.handle("GET", "/api/search", "q=") == (400, {"error": "missing q"})
 
+    def test_search_negative_offset_is_bad_request(self, app):
+        assert len(app.session.search([{"query_id": 0, "text": "jalan"}])["doc_id"]) > 3
+        assert app.handle("GET", "/api/search", "q=jalan&offset=-3") == (400, {"error": "offset must be >= 0"})
+        assert app.handle("GET", "/api/search", "q=jalan&offset=x")[0] == 400
+
     def test_reverse(self, app):
         assert app.handle("GET", "/api/reverse", "lat=-6.121&lon=106.831")[1]["doc_id"] == 0
         assert app.handle("GET", "/api/reverse", "lat=x&lon=1")[0] == 400
@@ -179,6 +184,16 @@ class TestHandle:
             assert st_ == 400 and "error" in payload, body
         app.handle("POST", "/api/geofence", "", b'{"fence_name": "f"}')
         assert app.handle("POST", "/api/geofence/f/point", "", b'{"lat": 1')[0] == 400
+
+    def test_add_point_non_number_fields(self, app):
+        app.handle("POST", "/api/geofence", "", b'{"fence_name": "f"}')
+        good = {"fence_point_name": "p", "lat": -6.2, "lon": 106.8, "radius": 1.0}
+        for field in ("lat", "lon", "radius"):
+            for bad in (None, [1.0], "1.0", {"v": 1.0}, True):
+                body = json.dumps({**good, field: bad}).encode()
+                want = (400, {"error": f"{field} must be a number"})
+                assert app.handle("POST", "/api/geofence/f/point", "", body) == want, (field, bad)
+        assert app.handle("POST", "/api/geofence/f/point", "", json.dumps({**good, "lat": -6}).encode())[0] == 200
 
 
 class TestBadCoordinates:

@@ -77,18 +77,23 @@ class TestReaders:
 
 
 class TestEmptyInputs:
-    def test_pip_join_empty_points(self):
+    @pytest.mark.parametrize("join", ["broadcast_pip_join", "partitioned_pip_join"])
+    def test_pip_join_empty_points(self, join):
         import pyarrow as pa
 
-        from osm_search_ray.stages.spatial_join import PolygonSet, broadcast_pip_join
+        from osm_search_ray.stages import spatial_join
+        from osm_search_ray.stages.spatial_join import PolygonSet
 
         rects = pa.table(
             {"rect_id": pa.array([1], pa.int64()), "lat0": pa.array([0.0]), "lon0": pa.array([0.0]), "lat1": pa.array([1.0]), "lon1": pa.array([1.0])}
         )
         polys = PolygonSet.from_rects(rects)
         empty = ray.data.from_pandas(pd.DataFrame({"doc_id": pd.Series(dtype=np.int64), "lat": pd.Series(dtype=float), "lon": pd.Series(dtype=float)}))
-        out = broadcast_pip_join(empty, polys, id_out="rect_id").to_pandas()
-        assert len(out) == 0
+        # an upstream filter that keeps no row yields no block and no schema
+        filtered = ray.data.from_pandas(pd.DataFrame({"doc_id": [1], "lat": [0.5], "lon": [0.5]})).filter(lambda r: False)
+        for points in (empty, filtered):
+            out = getattr(spatial_join, join)(points, polys, id_out="rect_id").to_pandas()
+            assert len(out) == 0
 
     def test_text_index_empty_docs(self):
         from osm_search_ray.pipelines import text_index as ti
