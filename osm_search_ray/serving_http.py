@@ -10,7 +10,9 @@ and come back as columns (the session holds the index, this layer only
 parses/serializes); reverse geocoding is a 1-NN over an in-RAM (doc_id,
 lat, lon) table (the reference's ReverseGeocoding,
 pkg/searcher/searcher.go:679-686). :func:`start_http_server` serves it with
-a stdlib ``http.server`` handler: HTTP/1.0, one request per connection,
+a ``socketserver.StreamRequestHandler`` that reads the request line and
+headers itself (only ``Content-Length`` is used, so no ``http.server`` and
+no ``email`` header parser): HTTP/1.0, one request per connection,
 single-threaded, so the core and the GeofenceRegistry are never used
 concurrently. An unnamed session runs its core in this process; a named
 one (a Ray actor) costs one actor round trip per call. The HTTP layer adds
@@ -31,10 +33,10 @@ from __future__ import annotations
 
 import json
 import re
+import socketserver
 import threading
 import traceback
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, unquote
 
 import numpy as np
@@ -111,7 +113,7 @@ class GeofenceRegistry:
 
         fk, flat, flon, frad = (np.array(c) for c in zip(*pts.values()))  # key, lat, lon, radius_km
         p0 = self._last.get((fence, query_point_id), (NO_PREV, NO_PREV))
-        res = _statuses_for_track(
+        _, keys, statuses = _statuses_for_track(
             np.array([0], dtype=np.int64),
             np.array([lat]),
             np.array([lon]),
@@ -125,7 +127,7 @@ class GeofenceRegistry:
         )
         self._last[(fence, query_point_id)] = (lat, lon)
         by_key = dict(zip(fk.tolist(), pts))
-        pairs = zip(res["fence_key"].tolist(), res["status"].tolist())
+        pairs = zip(keys.tolist(), statuses.tolist())
         return {"fence": fence, "statuses": [{"fence_point_name": by_key[k], "status": s} for k, s in pairs]}
 
 
@@ -247,33 +249,73 @@ class ServingApp:
         return req
 
 
+_MAX_LINE = 65536  # bytes in the request line or one header line, as http.server allows
+_MAX_HEADERS = 100
+_METHODS = ("GET", "POST", "DELETE")
+_VERSION_RE = re.compile(r"HTTP/1\.[0-9]+")
+
+
+def _answer(rfile, app: ServingApp) -> tuple[int, dict] | None:
+    """Read one HTTP/1.x request from ``rfile`` and answer it: (status,
+    JSON payload), or None when the client closed before sending a request
+    line. Of the headers only ``Content-Length`` is read (its name matched
+    case-insensitively). Every error is ``{"error": ...}``: 400 for a
+    malformed request line or Content-Length, 414/431 for a line over
+    65,536 bytes or more than 100 headers, 501 for a method other than
+    GET, POST or DELETE, and 500 for a fault in ``app.handle``, whose
+    traceback is printed."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if not line:
+        return None
+    if len(line) > _MAX_LINE:
+        return 414, {"error": "request line too long"}
+    words = line.decode("iso-8859-1").split()
+    if len(words) != 3 or not _VERSION_RE.fullmatch(words[2]):
+        return 400, {"error": "malformed request line"}
+    length = None
+    for _ in range(_MAX_HEADERS + 1):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return 431, {"error": "header line too long"}
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, colon, value = line.partition(b":")
+        if colon and length is None and name.lower() == b"content-length":
+            length = value.strip()
+    else:
+        return 431, {"error": f"more than {_MAX_HEADERS} headers"}
+    method, target, _ = words
+    if method not in _METHODS:
+        return 501, {"error": f"unsupported method {method!r}"}
+    if length is not None and not length.isdigit():  # bytes.isdigit: ASCII digits only
+        return 400, {"error": "Content-Length must be a non-negative integer"}
+    body = rfile.read(int(length)) if length else b""
+    path, _, query = target.partition("?")
+    try:
+        return app.handle(method, unquote(path, "iso-8859-1"), query, body)
+    except Exception as e:  # a fault in the program, not the request: log it, answer, keep serving
+        traceback.print_exc()
+        return 500, {"error": repr(e)}
+
+
 def start_http_server(app: ServingApp, port: int = 0):
     """Serve ``app`` on localhost in a daemon thread; returns
     (server, bound_port). ``port=0`` binds an ephemeral port (tests)."""
 
-    class _Handler(BaseHTTPRequestHandler):
-        def _serve(self):
-            path, _, query = self.path.partition("?")
-            try:
-                n = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                n = 0
-            body = self.rfile.read(n) if n > 0 else b""
-            try:
-                status, payload = app.handle(self.command, unquote(path, "iso-8859-1"), query, body)
-            except Exception as e:  # a fault in the program, not the request: log it, answer, keep serving
-                traceback.print_exc()
-                status, payload = 500, {"error": repr(e)}
+    class _Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            answer = _answer(self.rfile, app)
+            if answer is None:  # closed without a request: nothing to answer
+                return
+            status, payload = answer
             data = json.dumps(payload).encode()
-            head = f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            head = f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
             head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n"
             self.wfile.write(head.encode() + data)  # one write; HTTP/1.0 closes after it
 
-        do_GET = do_POST = do_DELETE = _serve
+    class _Server(socketserver.TCPServer):
+        allow_reuse_address = True  # as http.server.HTTPServer
 
-        def log_message(self, *a):  # no per-request stderr noise
-            pass
-
-    server = HTTPServer(("127.0.0.1", port), _Handler)
+    server = _Server(("127.0.0.1", port), _Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     return server, server.server_address[1]

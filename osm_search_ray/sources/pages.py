@@ -13,7 +13,7 @@ Contract pieces made real here:
     semantics are the stdlib html.parser's (``_TextExtractor``), which
     makes a Python call per token. Most pages instead take a fast path,
     ``_fast_text``: one ``re.split`` over the markup, then one pass over
-    the skip tags, then one ``html.unescape``. It accepts a strict subset
+    the skip tags, then one entity decode. It accepts a strict subset
     of markup: comments, doctypes, end tags, whole script/style elements,
     and start tags whose attribute values are all quoted. Any other "<"
     (bare "<", ``<?``, ``<![CDATA[``, ``</>``, unquoted values, a
@@ -39,6 +39,7 @@ at small scale ... no external data").
 
 from __future__ import annotations
 
+import functools
 import re
 from html import unescape
 from html.parser import HTMLParser
@@ -120,6 +121,26 @@ _MARKUP = re.compile(
 )
 
 
+# html.unescape's character-reference pattern (3.11 ``html._charref``;
+# tests/test_extract_fastpath.py pins the copy to the installed one)
+_CHARREF = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+
+
+@functools.lru_cache(maxsize=4096)
+def _decode_ref(ref: str) -> str:
+    return unescape("&" + ref)
+
+
+def _unescape(s: str) -> str:
+    """``html.unescape(s)`` without a Python callback per reference: one
+    ``split`` on the same pattern (it never matches "", so split and sub
+    cut ``s`` at the same places) and a cached decode per distinct
+    reference (a greedy match decodes the same alone as in context)."""
+    parts = _CHARREF.split(s)
+    parts[1::2] = map(_decode_ref, parts[1::2])
+    return "".join(parts)
+
+
 def _fast_text(html: str) -> str | None:
     """``_parser_text(html)`` from one ``re.split`` over the markup, or None
     when a "<" starts anything outside ``_MARKUP``'s subset (bare "<",
@@ -152,7 +173,7 @@ def _fast_text(html: str) -> str | None:
             depth += 1
     if not depth:
         kept += data[start:]
-    return " ".join(unescape(" ".join(kept)).split())
+    return " ".join(_unescape(" ".join(kept)).split())
 
 
 def extract_text(html: bytes | str | None) -> str:

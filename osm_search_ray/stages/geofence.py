@@ -93,12 +93,16 @@ def _statuses_for_track(
     flon: np.ndarray,
     frad: np.ndarray,
     k_nearest: int,
-) -> pd.DataFrame:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized status computation for one point's ordered track:
     (E×F) equirect matrix → per-event top-k fences (ties by key) →
     contains/transition logic via array ops; the segment×circle test runs
     only on the OUTSIDE→OUTSIDE subset. Semantics identical to the scalar
-    form (transition table of geofence.go:97-116)."""
+    form (transition table of geofence.go:97-116).
+
+    Returns the (event_id, fence_key, status) columns as numpy arrays
+    (int64, int64, str): the serving registry reads them directly, and the
+    batch flows wrap them in a frame."""
     e = len(ev)
     f = len(fk)
     k = min(k_nearest, f)
@@ -137,13 +141,11 @@ def _statuses_for_track(
         out_ev.append(ev[rows][trans])
         out_key.append(fk[cols][trans])
         out_st.append(np.where(cur_in[trans], STATUS_INSIDE, STATUS_OUTSIDE))
-    return pd.DataFrame(
-        {
-            "event_id": np.concatenate(out_ev).astype(np.int64),
-            "fence_key": np.concatenate(out_key).astype(np.int64),
-            "status": np.concatenate(out_st),
-        }
-    )
+    return np.concatenate(out_ev).astype(np.int64), np.concatenate(out_key).astype(np.int64), np.concatenate(out_st)
+
+
+def _status_frame(cols: tuple[np.ndarray, np.ndarray, np.ndarray]) -> pd.DataFrame:
+    return pd.DataFrame(dict(zip(("event_id", "fence_key", "status"), cols)))
 
 
 def fence_status_flow(
@@ -170,7 +172,7 @@ def fence_status_flow(
         plat = np.concatenate([[NO_PREV], lat[:-1]])
         plon = np.concatenate([[NO_PREV], lon[:-1]])
         ev = g["event_id"].to_numpy()
-        return _statuses_for_track(ev, lat, lon, plat, plon, fk, flat, flon, frad, k_nearest)
+        return _status_frame(_statuses_for_track(ev, lat, lon, plat, plon, fk, flat, flon, frad, k_nearest))
 
     from .joins import grouped_apply_bounded
 
@@ -216,7 +218,7 @@ def fence_status_incremental(
         plat = np.concatenate([[p0[0]], lat[:-1]])
         plon = np.concatenate([[p0[1]], lon[:-1]])
         ev = g["event_id"].to_numpy()
-        res = _statuses_for_track(ev, lat, lon, plat, plon, fk, flat, flon, frad, k_nearest)
+        res = _status_frame(_statuses_for_track(ev, lat, lon, plat, plon, fk, flat, flon, frad, k_nearest))
         # last row also reports the new stored position via a side channel col
         res["__pid"] = pid
         res["__last_lat"] = lat[-1]

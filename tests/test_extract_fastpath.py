@@ -12,15 +12,20 @@ string must equal the parser's exactly. Three sources of pages:
     &copy;, &nbsp; and <noscript> (all must take the fast path);
   * Hypothesis splices of adversarial fragments and invalid UTF-8 (the
     fallback must be hit, and the fast path must still be taken often).
+
+The fast path's entity decode (``_unescape``) is checked against
+``html.unescape`` on its own, and its pattern against the installed one.
 """
 
 from __future__ import annotations
+
+import html
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osm_search_ray.sources.pages import _fast_text, _parser_text, extract_text, make_pages_table
+from osm_search_ray.sources.pages import _CHARREF, _fast_text, _parser_text, _unescape, extract_text, make_pages_table
 
 
 def _check(html: bytes | str) -> bool:
@@ -138,3 +143,18 @@ def test_fuzzed_fragments_identical_and_both_paths_hit():
 
     check()
     assert any(taken) and not all(taken), (sum(taken), len(taken))
+
+
+def test_charref_pattern_is_the_installed_one():
+    assert _CHARREF.pattern == html._charref.pattern
+
+
+_REFS = ["&amp;", "&amp", "&ampx;", "&AMP;", "&notit;", "&notin;", "&lt", "&nbsp;", "&copy", "&eacute;",
+         "&#65", "&#x41;", "&#X41", "&#0;", "&#128;", "&#xd800;", "&#x110000", "&#", "&#x", "&", "&;", "&" + "a" * 40]
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from(_REFS), st.text("&#;xX0123456789abflmnopt \t\n<é", max_size=5)), max_size=12))
+def test_unescape_equals_html_unescape(pieces):
+    s = "".join(pieces)
+    assert _unescape(s) == html.unescape(s)

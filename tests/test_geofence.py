@@ -5,8 +5,11 @@ import numpy as np
 import pandas as pd
 import pytest
 import ray.data
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osm_search_ray.functions.geometry import haversine_km
+from osm_search_ray.serving_http import GeofenceRegistry
 from osm_search_ray.stages.geofence import fence_status_flow, line_circle_intersect
 
 
@@ -115,3 +118,50 @@ class TestIncrementalState:
         )
         # the carried state holds the LAST position
         assert state2[state2["point_id"] == 7]["lon"].iloc[0] == pytest.approx(CENTER[1] + 0.05)
+
+
+_CENTERS = [(-6.2, 106.8), (-6.21, 106.8), (-6.2, 106.82)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    fences=st.lists(
+        st.tuples(st.sampled_from("abcde"), st.sampled_from(_CENTERS), st.sampled_from([0.2, 1.0, 2.5])),
+        min_size=1,
+        max_size=7,
+    ),
+    track=st.lists(
+        st.tuples(st.sampled_from([-6.23, -6.21, -6.2, -6.19, -6.17]), st.sampled_from([106.77, 106.8, 106.81, 106.84])),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_registry_equals_batch_flow(fences, track):
+    """Replaying one point's track through ``GeofenceRegistry.search`` gives
+    the same (fence_key, status) rows, in the same order, as the batch
+    ``fence_status_flow`` over that track. Fences share centers (distance
+    ties broken by key) and re-adding a name gives it a new key."""
+    reg = GeofenceRegistry()
+    reg.add_fence("f")
+    table = {}  # point name → (key, lat, lon, radius_km), keyed as the registry keys them
+    for key, (name, (lat, lon), radius) in enumerate(fences, start=1):
+        reg.add_point("f", name, lat, lon, radius)
+        table[name] = (key, lat, lon, radius)
+    key_of = {name: v[0] for name, v in table.items()}
+    got = []
+    for lat, lon in track:
+        rows = reg.search("f", lat, lon, "car")["statuses"]
+        got.append([(key_of[r["fence_point_name"]], r["status"]) for r in rows])
+    fence_df = pd.DataFrame(list(table.values()), columns=["key", "lat", "lon", "radius_km"])
+    pts = pd.DataFrame(
+        {
+            "event_id": np.arange(len(track), dtype=np.int64),
+            "point_id": np.ones(len(track), dtype=np.int64),
+            "ts": pd.date_range("2024-01-01", periods=len(track), freq="min"),
+            "lat": [p[0] for p in track],
+            "lon": [p[1] for p in track],
+        }
+    )
+    out = fence_status_flow(ray.data.from_pandas(pts), fence_df).to_pandas()
+    want = [list(zip(g["fence_key"], g["status"])) for _, g in out.groupby("event_id", sort=True)]
+    assert got == want

@@ -7,6 +7,7 @@ is tested without sockets; the e2e tests go through the HTTP server."""
 import json
 import math
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -308,3 +309,107 @@ class TestGeofenceCrud:
         assert st == 400
         st, b = self._req(port, "DELETE", "/api/geofence/f1")
         assert st == 200
+
+
+def _raw(port: int, *chunks: bytes, pause: float = 0.2) -> tuple[int, dict, dict]:
+    """Send ``chunks`` on one connection (pausing between them), read until
+    the server closes; return (status, headers, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as c:
+        for i, chunk in enumerate(chunks):
+            if i:
+                time.sleep(pause)
+            c.sendall(chunk)
+        raw = b""
+        while chunk := c.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode().split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    assert lines[0].startswith("HTTP/1.0 ") and int(headers["Content-Length"]) == len(body)
+    return int(lines[0].split(" ")[1]), headers, json.loads(body)
+
+
+class TestRawRequests:
+    """The request reader over raw sockets. Each request sends exactly the
+    bytes the server reads before it answers, so no unread byte turns the
+    close into a reset."""
+
+    @pytest.fixture()
+    def served(self, app):
+        srv, port = start_http_server(app)
+        yield app, port
+        srv.shutdown()
+        srv.server_close()
+
+    def test_malformed_request_line_is_400(self, served):
+        _, port = served
+        for line in (b"GARBAGE\r\n", b"\r\n", b"GET /api/search\r\n", b"GET /a b HTTP/1.0\r\n",
+                     b"GET /api/search HTTP/2.0\r\n", b"GET /api/search FTP/1.0\r\n", b"GET / HTTP/1.x\r\n"):
+            assert _raw(port, line)[::2] == (400, {"error": "malformed request line"}), line
+
+    def test_unsupported_method_is_501(self, served):
+        _, port = served
+        for method in (b"PUT", b"HEAD", b"get"):
+            status, _, body = _raw(port, method + b" /api/search?q=x HTTP/1.0\r\n\r\n")
+            assert status == 501 and "error" in body, method
+
+    def test_long_lines_and_too_many_headers(self, served):
+        _, port = served
+        line = b"GET /api/reverse?lat=0&lon=0 HTTP/1.0\r\n"
+        # one byte over the 65,536-byte limit, with no newline
+        assert _raw(port, b"GET /" + b"a" * (65537 - 5))[0] == 414
+        assert _raw(port, line + b"X: " + b"a" * (65537 - 3))[0] == 431
+        assert _raw(port, line + b"X: 1\r\n" * 101)[0] == 431
+        assert _raw(port, line + b"X: 1\r\n" * 100 + b"\r\n")[0] == 200
+
+    def test_bad_content_length_is_400(self, served):
+        _, port = served
+        for value in (b"abc", b"-1", b"1.5", b"+3", b"", b"\xb2"):
+            req = b"POST /api/geofence HTTP/1.0\r\nContent-Length: " + value + b"\r\n\r\n"
+            status, _, body = _raw(port, req)
+            assert (status, body) == (400, {"error": "Content-Length must be a non-negative integer"}), value
+
+    def test_body_after_a_pause_and_lower_case_content_length(self, served):
+        app, port = served
+        body = b'{"fence_name": "late"}'
+        head = b"POST /api/geofence HTTP/1.0\r\ncontent-length: %d\r\n\r\n" % len(body)
+        assert _raw(port, head, body)[::2] == (200, {"message": "add geofence success"})
+        assert app.handle("DELETE", "/api/geofence/late")[0] == 200  # the fence exists
+
+    def test_closed_connection_then_request(self, served):
+        _, port = served
+        socket.create_connection(("127.0.0.1", port), timeout=30).close()
+        assert _raw(port, b"GET /api/reverse?lat=-6.121&lon=106.831 HTTP/1.0\r\n\r\n")[2]["doc_id"] == 0
+
+    def test_fault_in_app_is_500_with_traceback(self, served, capfd):
+        app, port = served
+        app.session = None  # search now raises AttributeError: a program fault, not a 400
+        status, _, body = _raw(port, b"GET /api/search?q=jalan HTTP/1.0\r\n\r\n")
+        assert status == 500 and "AttributeError" in body["error"]
+        assert "Traceback" in capfd.readouterr().err
+        assert _raw(port, b"GET /api/reverse?lat=-6.121&lon=106.831 HTTP/1.0\r\n\r\n")[0] == 200
+
+    def test_socket_equals_handle(self, served, built):
+        """One request per route plus a 404 and a 400: status and JSON over
+        the socket equal ``handle``'s on a twin app fed the same requests."""
+        _, port = served
+        twin = ServingApp(serving.start_session(*built), geofences=GeofenceRegistry(), geo=GEO)
+        point = json.dumps({"fence_point_name": "hq", "lat": -6.2, "lon": 106.8, "radius": 1.0}).encode()
+        reqs = [
+            ("GET", "/api/search", "q=jalan%20ancol&offset=1", b""),
+            ("GET", "/api/autocomplete", "q=kebun+bina", b""),
+            ("GET", "/api/reverse", "lat=-6.121&lon=106.831", b""),
+            ("POST", "/api/geofence", "", b'{"fence_name": "f"}'),
+            ("POST", "/api/geofence/f/point", "", point),
+            ("GET", "/api/geofence/f", "lat=-6.2&lon=106.8&query_point_id=car", b""),
+            ("GET", "/api/geofence/f", "lat=-6.5&lon=106.8&query_point_id=car", b""),
+            ("DELETE", "/api/geofence/f", "", b""),
+            ("GET", "/api/nope", "", b""),
+            ("GET", "/api/reverse", "lat=x&lon=1", b""),
+        ]
+        for method, path, query, body in reqs:
+            target = f"{path}?{query}" if query else path
+            head = f"{method} {target} HTTP/1.0\r\nContent-Length: {len(body)}\r\n\r\n".encode()
+            status, headers, payload = _raw(port, head + body)
+            assert headers["Content-Type"] == "application/json"
+            assert (status, payload) == twin.handle(method, path, query, body), (method, target)
