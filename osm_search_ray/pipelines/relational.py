@@ -18,6 +18,9 @@ from ..sources.readers import read_pq
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Sum
 
+from ..functions.topk import topk_rows
+from ..stages.joins import topk_per_key
+
 
 def agg_pricing(sf_dir: str):
     """TPC-H-Q1-shaped grouped aggregate with per-batch partial combine.
@@ -259,31 +262,27 @@ def topk_orders_per_segment(sf_dir: str, k: int = 5):
     """Per-group top-k (K1 rank-and-slice analogue): the 3 highest-value
     orders per market segment, deterministic ties by o_orderkey.
 
-    Combiner discipline: each batch keeps ≤ k rows per segment before the
-    groupby shuffle, so the exchange is O(segments × blocks × k)."""
+    Combiner discipline: each batch keeps ≤ k rows per segment before
+    joins.topk_per_key, so the exchange is O(segments × blocks × k)."""
     import pyarrow.parquet as pq
 
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]).to_pandas()
-    dim_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_mktsegment"])))
+    dim_ref = ray.put(pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]))
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        seg = ray.get(dim_ref)
-        df = batch.to_pandas()
-        df["c_mktsegment"] = df["o_custkey"].map(seg)
-        df = df.dropna(subset=["c_mktsegment"])
-        df = df.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True], kind="mergesort")
-        g = df.groupby("c_mktsegment", sort=False).head(k)
-        return pa.Table.from_pandas(g[["c_mktsegment", "o_orderkey", "o_totalprice"]], preserve_index=False)
+        cust = ray.get(dim_ref)
+        at = pc.index_in(batch.column("o_custkey"), value_set=cust.column("c_custkey").combine_chunks())
+        t = pa.table(
+            {
+                "c_mktsegment": cust.column("c_mktsegment").take(at),
+                "o_orderkey": batch.column("o_orderkey"),
+                "o_totalprice": batch.column("o_totalprice"),
+            }
+        ).filter(at.is_valid())
+        return topk_rows(t, "c_mktsegment", "o_totalprice", "o_orderkey", k, True).drop_columns(["rank"])
 
     orders = read_pq(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"])
     partials = orders.map_batches(partial_topk, batch_format="pyarrow")
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return partials.groupby("c_mktsegment").map_groups(final, batch_format="pandas")
+    return topk_per_key(partials, "c_mktsegment", "o_totalprice", "o_orderkey", k, True)
 
 
 SQL_TOPK_ORDERS_PER_SEGMENT = """

@@ -25,10 +25,8 @@ sums them per doc (``group_sum``). ``score_bm25_field`` runs both halves per
 call; ``search.SearchCore`` runs the first once, at construction.
 
 Ranking ties: the reference's sort is stable over Go map iteration order —
-nondeterministic. We define ties broken by ascending doc_id (SURVEY.md §7.4).
-``rank_slice`` keeps only the docs scoring at least the (offset+k)-th best
-(``np.partition``, every boundary tie kept) before sorting them, so top-k
-costs O(docs) plus a sort of the kept few and equals the full sort's slice.
+nondeterministic. We define ties broken by ascending doc_id (SURVEY.md §7.4),
+the engine-wide order of ``functions/topk.rank_slice``.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from ..functions.topk import rank_slice
 from .text_index import FIELD_ADDRESS, FIELD_NAME, TextIndex
 
 # BM25+ parameters (searcher.go:27-37)
@@ -207,24 +206,6 @@ SCORERS = {
     "BM25_PLUS": score_bm25_plus,
     "TF_IDF_COSINE": score_tfidf_cosine,
 }
-
-
-def rank_slice(d: np.ndarray, s: np.ndarray, k: int, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(doc_id, score) arrays in rank order: descending score, ties by
-    ascending doc_id; slice [offset, offset+k). When the slice ends before
-    the last doc, ``np.partition`` finds the (offset+k)-th best score and
-    only docs scoring at least that — every tie at the boundary included —
-    are lexsorted. The order is total, so the result equals the full
-    sort's; the cost is O(docs) plus a sort of the kept few."""
-    neg = -s
-    n = offset + k
-    if offset >= 0 and k > 0 and n < len(s):
-        # ~(neg > kth) rather than neg <= kth: a NaN score is kept, as the
-        # full sort would rank it (last)
-        keep = np.nonzero(~(neg > np.partition(neg, n - 1)[n - 1]))[0]
-        d, s, neg = d[keep], s[keep], neg[keep]
-    o = np.lexsort((d, neg))[offset:n]
-    return d[o], s[o]
 
 
 def rank_scores(scores: pd.Series, k: int, offset: int = 0) -> pd.DataFrame:

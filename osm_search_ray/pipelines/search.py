@@ -21,7 +21,8 @@ from ..stages.joins import default_actor_pool
 import ray.data
 
 from ..functions.tokenize import tokenize
-from .scoring import SCORERS, bm25f_row_weights, df_per_term, group_sum, rank_slice
+from ..functions.topk import rank_slice
+from .scoring import SCORERS, bm25f_row_weights, df_per_term, group_sum
 from .text_index import TextIndex
 
 

@@ -19,79 +19,45 @@ from ..sources.memo import memo, store_dir
 import ray.data
 
 from ..functions.arrowutil import vec_matrix
+from ..functions.topk import topk_rows
+from ..stages.annindex import cosine_partial
+from ..stages.joins import topk_per_key
 
 K_DEFAULT = 5
 QUERY_STRIDE = 100  # vec_id % 100 == 0 rows are the query set (deterministic)
 
 
-class PartialCosineTopK:
-    def __init__(self, queries_ref, k: int):
-        q = ray.get(queries_ref)
-        self.qids = q["vec_id"]
-        qm = q["mat"].astype(np.float64)
-        self.qn = qm / np.linalg.norm(qm, axis=1, keepdims=True)
-        self.k = k
+def cosine_topk_batch(batch: pa.Table, queries: tuple, k: int) -> pa.Table:
+    """The per-batch combiner of ann_cosine_topk: ``queries`` is (query ids,
+    row-normalized query matrix); per query, the k most similar rows of
+    ``batch``, self excluded, as (query_id, vec_id, cosine)."""
+    qids, qn = queries
+    ids = batch.column("vec_id").to_numpy()
+    mat = vec_matrix(batch.column("embedding"))
+    sims = qn @ (mat / np.linalg.norm(mat, axis=1, keepdims=True)).T if len(ids) else np.empty((len(qids), 0))
+    return cosine_partial(qids, ids, sims, k, "vec_id")
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("vec_id").to_numpy()
-        mat = vec_matrix(batch.column("embedding"))
-        return self._score(ids, mat)
 
-    def _score(self, ids: np.ndarray, mat: np.ndarray) -> pa.Table:
-        if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()), "vec_id": pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
-        mn = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-        sims = self.qn @ mn.T  # (Q, B)
-        return self._topk_from_sims(ids, sims)
+def _query_vectors(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
+    """The query set: (vec_id, embedding matrix) of the vec_id % 100 == 0 rows."""
+    import pyarrow.parquet as pq
 
-    def _topk_from_sims(self, ids: np.ndarray, sims: np.ndarray) -> pa.Table:
-        out_q, out_v, out_s = [], [], []
-        for qi in range(len(self.qids)):
-            s = sims[qi]
-            mask = ids != self.qids[qi]  # exclude self-match
-            s_m, ids_m = s[mask], ids[mask]
-            if len(s_m) > self.k:
-                part = np.argpartition(-s_m, self.k)[: self.k]
-                s_m, ids_m = s_m[part], ids_m[part]
-            out_q.append(np.full(len(ids_m), self.qids[qi], dtype=np.int64))
-            out_v.append(ids_m)
-            out_s.append(s_m)
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                "vec_id": pa.array(np.concatenate(out_v)),
-                "cosine": pa.array(np.concatenate(out_s)),
-            }
-        )
+    qt = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    qt = qt.filter(pa.array((qt.column("vec_id").to_numpy() % QUERY_STRIDE) == 0))
+    return qt.column("vec_id").to_numpy(), vec_matrix(qt.column("embedding"))
 
 
 def ann_cosine_topk(sf_dir: str, k: int = K_DEFAULT):
     """Top-k cosine neighbors for each query vector (vec_id % 100 == 0),
     self excluded; deterministic ties by vec_id. Output (query_id, vec_id, rank)."""
-    import pyarrow.parquet as pq
-
-    qt = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    qmask = (qt.column("vec_id").to_numpy() % QUERY_STRIDE) == 0
-    qt = qt.filter(pa.array(qmask))
-    queries_ref = ray.put(
-        {"vec_id": qt.column("vec_id").to_numpy(), "mat": vec_matrix(qt.column("embedding"))}
-    )
-
+    qids, qm = _query_vectors(sf_dir)
+    qm = qm.astype(np.float64)
+    ref = ray.put((qids, qm / np.linalg.norm(qm, axis=1, keepdims=True)))
     corpus = read_pq(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     partial = corpus.map_batches(
-        PartialCosineTopK,
-        fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=(1, 4),
+        lambda t: cosine_topk_batch(t, ray.get(ref), k), batch_format="pyarrow", batch_size=4096
     )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "rank"]]
-
-    return partial.groupby("query_id").map_groups(final, batch_format="pandas")
+    return topk_per_key(partial, "query_id", "cosine", "vec_id", k, True).select_columns(["query_id", "vec_id", "rank"])
 
 
 SQL_ANN_COSINE_TOPK = f"""
@@ -155,17 +121,10 @@ def ann_ivf_topk(sf_dir: str, k: int = K_DEFAULT, nlist: int = 8, nprobe: int | 
     recall tested in tests/test_ann_misc.py)."""
     import tempfile
 
-    import pyarrow.parquet as pq
-
     from ..stages.annindex import build_ivf_store, ivf_store_topk
 
-    qt = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    qmask = (qt.column("vec_id").to_numpy() % QUERY_STRIDE) == 0
-    qt = qt.filter(pa.array(qmask))
-    queries = {
-        "vec_id": qt.column("vec_id").to_numpy(),
-        "mat": vec_matrix(qt.column("embedding")),
-    }
+    qids, qm = _query_vectors(sf_dir)
+    queries = {"vec_id": qids, "mat": qm}
     corpus = read_pq(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     store = tempfile.mkdtemp(prefix="ivf_store_", dir="/tmp")
     try:
@@ -344,75 +303,31 @@ def ann_quantized_topk(sf_dir: str, k: int = K_DEFAULT):
     quantized with the same kernel (symmetric int8×int8 search), so every
     dot is an exact integer (summation-order-free), the score
     dot/(√qnsq·√vnsq) is a chain of single IEEE ops, and top-k selection
-    is tie-aware ((score DESC, vec_id) — int scores make ties REAL, so
-    argpartition's arbitrary tie choice would diverge from SQL's
-    ROW_NUMBER). Recall vs the exact float query and scale-cancellation
-    parity are pinned in tests/test_ann_misc.py.
+    is the engine's tie-aware order ((score DESC, vec_id), functions/topk —
+    int scores make ties REAL). Recall vs the exact float query and
+    scale-cancellation parity are pinned in tests/test_ann_misc.py.
     Output (query_id, vec_id, rank)."""
-    import pyarrow.parquet as pq
-
-    qt = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    qmask = (qt.column("vec_id").to_numpy() % QUERY_STRIDE) == 0
-    qt = qt.filter(pa.array(qmask))
-    qm = vec_matrix(qt.column("embedding"))
-    queries_ref = ray.put({"vec_id": qt.column("vec_id").to_numpy(), "mat": qm})
-
-    store = _quant_store_dir(sf_dir)
-    corpus = read_pq(store, columns=["vec_id", "qvec", "dim"])
-
-    class PartialQuantTopK(PartialCosineTopK):
-        def __init__(self, queries_ref, k: int):
-            q = ray.get(queries_ref)
-            self.qids = q["vec_id"]
-            q8, _ = quantize_int8(q["mat"])
-            self.q32 = q8.astype(np.float32)
-            self.qden = _int8_denoms(q8)
-            self.k = k
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return pa.table({"query_id": pa.array([], pa.int64()), "vec_id": pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
-            dim = int(batch.column("dim")[0].as_py())
-            v8 = _int8_codes(batch.column("qvec"), dim)
-            v32 = v8.astype(np.float32)
-            dots = (self.q32 @ v32.T).astype(np.float64)  # exact integers
-            sims = dots / (self.qden[:, None] * _int8_denoms(v8)[None, :])
-            return self._topk_from_sims(batch.column("vec_id").to_numpy(), sims)
-
-        def _topk_from_sims(self, ids: np.ndarray, sims: np.ndarray) -> pa.Table:
-            # tie-aware partial top-k: (score DESC, vec_id ASC), matching
-            # the SQL ROW_NUMBER order — the parent's argpartition keeps an
-            # arbitrary member of a tie straddling the k boundary
-            out_q, out_v, out_s = [], [], []
-            for qi in range(len(self.qids)):
-                mask = ids != self.qids[qi]  # exclude self-match
-                s_m, ids_m = sims[qi][mask], ids[mask]
-                order = np.lexsort((ids_m, -s_m))[: self.k]
-                out_q.append(np.full(len(order), self.qids[qi], dtype=np.int64))
-                out_v.append(ids_m[order])
-                out_s.append(s_m[order])
-            return pa.table(
-                {
-                    "query_id": pa.array(np.concatenate(out_q)),
-                    "vec_id": pa.array(np.concatenate(out_v)),
-                    "cosine": pa.array(np.concatenate(out_s)),
-                }
-            )
-
+    qids, qm = _query_vectors(sf_dir)
+    q8, _ = quantize_int8(qm)
+    ref = ray.put((qids, q8.astype(np.float32), _int8_denoms(q8)))
+    corpus = read_pq(_quant_store_dir(sf_dir), columns=["vec_id", "qvec", "dim"])
     partial = corpus.map_batches(
-        PartialQuantTopK,
-        fn_constructor_kwargs=dict(queries_ref=queries_ref, k=k),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=(1, 4),
+        lambda t: quantized_topk_batch(t, ray.get(ref), k), batch_format="pyarrow", batch_size=4096
     )
+    return topk_per_key(partial, "query_id", "cosine", "vec_id", k, True).select_columns(["query_id", "vec_id", "rank"])
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", "vec_id"], ascending=[False, True], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "rank"]]
 
-    return partial.groupby("query_id").map_groups(final, batch_format="pandas")
+def quantized_topk_batch(batch: pa.Table, queries: tuple, k: int) -> pa.Table:
+    """The per-batch combiner of ann_quantized_topk: ``queries`` is (query
+    ids, float32 int8 query codes, their norms); scores int8×int8 dots
+    (exact integers in float32) over the batch's codes."""
+    qids, q32, qden = queries
+    if not len(batch):
+        return cosine_partial(qids, batch.column("vec_id").to_numpy(), np.empty((len(qids), 0)), k, "vec_id")
+    v8 = _int8_codes(batch.column("qvec"), int(batch.column("dim")[0].as_py()))
+    dots = (q32 @ v8.astype(np.float32).T).astype(np.float64)  # exact integers
+    sims = dots / (qden[:, None] * _int8_denoms(v8)[None, :])
+    return cosine_partial(qids, batch.column("vec_id").to_numpy(), sims, k, "vec_id")
 
 
 # ----------------------------------------------------------- k-NN graph
@@ -496,16 +411,7 @@ def _knn_graph(path: str, k: int, nlist: int, nprobe: int):
             qm = np.frombuffer(b"".join(qry["blob"]), np.float64).reshape(len(qids), dim)
             mn = mm / np.maximum(np.linalg.norm(mm, axis=1, keepdims=True), 1e-12)
             qn = qm / np.maximum(np.linalg.norm(qm, axis=1, keepdims=True), 1e-12)
-            sims = qn @ mn.T
-            for qi in range(len(qids)):
-                mask = mids != qids[qi]
-                s_m, ids_m = sims[qi][mask], mids[mask]
-                if len(s_m) > k:
-                    part = np.argpartition(-s_m, k)[:k]
-                    s_m, ids_m = s_m[part], ids_m[part]
-                out.append(
-                    pd.DataFrame({"src_id": qids[qi], "neighbor_id": ids_m, "cosine": s_m})
-                )
+            out.append(cosine_partial(qids, mids, qn @ mn.T, k, "neighbor_id"))
         if not out:
             return pd.DataFrame(
                 {
@@ -514,19 +420,18 @@ def _knn_graph(path: str, k: int, nlist: int, nprobe: int):
                     "cosine": pd.Series(dtype=np.float64),
                 }
             )
-        return pd.concat(out, ignore_index=True)
+        return pa.concat_tables(out).rename_columns(["src_id", "neighbor_id", "cosine"]).to_pandas()
 
     partial = hash_partitioned_apply(
         emb.map_batches(tag, batch_format="pyarrow"), "list_id", score_partition, num_parts=16
     )
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(["neighbor_id"])  # same pair can meet in several probed lists
-        g = g.sort_values(["cosine", "neighbor_id"], ascending=[False, True], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["src_id", "neighbor_id", "rank"]]
+    def final(df: pd.DataFrame) -> pd.DataFrame:
+        df = df.drop_duplicates(["src_id", "neighbor_id"])  # same pair can meet in several probed lists
+        t = topk_rows(pa.Table.from_pandas(df, preserve_index=False), "src_id", "cosine", "neighbor_id", k, True)
+        return t.select(["src_id", "neighbor_id", "rank"]).to_pandas()
 
-    return partial.groupby("src_id").map_groups(final, batch_format="pandas").materialize()
+    return hash_partitioned_apply(partial, "src_id", final).materialize()
 
 
 SQL_KNN_GRAPH = f"""
@@ -638,15 +543,10 @@ def ann_pq_topk(
     per-batch top-``rerank`` partials carrying (adist, exact dist), one
     query-keyed reduce (global shortlist by adist → exact rank). Output
     (query_id, vec_id, rank)."""
-    import pyarrow.parquet as _pqt
-
     from ..stages.annindex import kmeans_fit, smallest_k_vecs, sq_dists
 
-    qt = _pqt.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    qmask = (qt.column("vec_id").to_numpy() % QUERY_STRIDE) == 0
-    qt = qt.filter(pa.array(qmask))
-    qids = qt.column("vec_id").to_numpy().astype(np.int64)
-    qm = vec_matrix(qt.column("embedding"))
+    qids, qm = _query_vectors(sf_dir)
+    qids = qids.astype(np.int64)
     dim = qm.shape[1]
     if dim % m:
         raise ValueError(f"ann_pq_topk: dim {dim} not divisible by m={m}")

@@ -26,6 +26,8 @@ from ..sources.readers import read_pq
 import ray.data
 
 from ..functions.tokenize import SQL_TOKENIZE, tokenize_array
+from ..functions.topk import topk_rows
+from ..stages.joins import topk_per_key
 
 SPLIT_MOD = 2_147_483_648  # 2^31 — keeps doc_id * MIX inside int64/BIGINT
 SPLIT_MIX = 2_654_435_761
@@ -196,36 +198,21 @@ def sample_stratified(sf_dir: str, k: int = STRATUM_K):
     a stratum, so priorities stay pure int64 — no float anywhere; the
     training-data op for balancing languages/domains in a mixture).
 
-    Per-batch combiner keeps ≤ k rows per stratum before the groupby, so
-    the exchange is O(strata × blocks × k). NULL-lang rows are excluded on
-    BOTH sides (pandas groupby would silently drop them while SQL would
-    rank NULL as its own partition — excluding explicitly keeps the two
-    identical by construction). Output (lang, doc_id, rank)."""
+    Per-batch combiner keeps ≤ k rows per stratum before
+    joins.topk_per_key, so the exchange is O(strata × blocks × k).
+    NULL-lang rows are excluded on BOTH sides (both topk_rows and SQL would
+    rank NULL as its own partition; a sample has no NULL stratum).
+    Output (lang, doc_id, rank)."""
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "lang": batch.column("lang").to_pandas(),
-                "doc_id": batch.column("doc_id").to_numpy().astype(np.int64),
-            }
-        )
-        df = df[df["lang"].notna()]
-        df["u"] = (df["doc_id"] % SPLIT_MOD) * SAMPLE_MIX % SPLIT_MOD
-        df = df.sort_values(["u", "doc_id"], kind="mergesort")
-        g = df.groupby("lang", sort=False).head(k)
-        return pa.Table.from_pandas(g, preserve_index=False)
+        batch = batch.filter(batch.column("lang").is_valid())
+        ids = batch.column("doc_id").to_numpy().astype(np.int64)
+        t = pa.table({"lang": batch.column("lang"), "doc_id": ids, "u": (ids % SPLIT_MOD) * SAMPLE_MIX % SPLIT_MOD})
+        return topk_rows(t, "lang", "u", "doc_id", k, False).drop_columns(["rank"])
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["u", "doc_id"], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["lang", "doc_id", "rank"]]
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(final, batch_format="pandas")
-    )
+    out = topk_per_key(ds.map_batches(partial, batch_format="pyarrow"), "lang", "u", "doc_id", k, False)
+    return out.select_columns(["lang", "doc_id", "rank"])
 
 
 SQL_SAMPLE_STRATIFIED = f"""

@@ -251,6 +251,7 @@ class ServingApp:
 
 _MAX_LINE = 65536  # bytes in the request line or one header line, as http.server allows
 _MAX_HEADERS = 100
+_READ_TIMEOUT_S = 10.0  # a client silent this long mid-request is dropped: the server is single-threaded
 _METHODS = ("GET", "POST", "DELETE")
 _VERSION_RE = re.compile(r"HTTP/1\.[0-9]+")
 
@@ -303,8 +304,13 @@ def start_http_server(app: ServingApp, port: int = 0):
     (server, bound_port). ``port=0`` binds an ephemeral port (tests)."""
 
     class _Handler(socketserver.StreamRequestHandler):
+        timeout = _READ_TIMEOUT_S  # setup() applies it to the socket
+
         def handle(self):
-            answer = _answer(self.rfile, app)
+            try:
+                answer = _answer(self.rfile, app)
+            except TimeoutError:  # a partial request held open: drop it unanswered
+                return
             if answer is None:  # closed without a request: nothing to answer
                 return
             status, payload = answer

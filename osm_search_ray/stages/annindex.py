@@ -27,6 +27,8 @@ from ..sources.readers import read_pq
 import ray.data
 
 from ..functions.arrowutil import vec_matrix
+from ..functions.topk import query_topk
+from .joins import topk_per_key
 
 
 def sq_dists(x: np.ndarray, cent: np.ndarray) -> np.ndarray:
@@ -171,52 +173,65 @@ class IvfStoreCore:
         id_col = self.meta["id_col"]
         dim = self.meta["dim"]
         vec_dtype = np.dtype(self.meta.get("vec_dtype", "float32"))  # pre-r03 stores packed float32
-        qm = queries["mat"].astype(np.float64)
-        qn = qm / np.linalg.norm(qm, axis=1, keepdims=True)
-        qd = sq_dists(qm, self.centroids)
-        probes = np.argsort(qd, axis=1)[:, :nprobe]
+        probes = np.argsort(sq_dists(queries["mat"].astype(np.float64), self.centroids), axis=1)[:, :nprobe]
         files = probed_list_files(self.out_dir, np.unique(probes))
         if not files:
-            return pd.DataFrame({"query_id": pd.Series(dtype=np.int64), id_col: pd.Series(dtype=np.int64), "rank": pd.Series(dtype=np.int64)})
-        ds = read_pq(files)
-        state_ref = ray.put((queries["vec_id"], qn, probes))
+            return _no_rows(id_col)
+        state_ref = ray.put(_ivf_state(queries, probes))
 
         def score(batch: pa.Table) -> pa.Table:
-            qids, qn_, probes_ = ray.get(state_ref)
-            if batch.num_rows == 0:
-                return pa.table({"query_id": pa.array([], pa.int64()), id_col: pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
-            ids = batch.column(id_col).to_numpy()
-            lids = batch.column("list_id").to_numpy()
             blobs = batch.column("vecblob").to_pylist()
-            mat = np.frombuffer(b"".join(blobs), dtype=vec_dtype).reshape(len(ids), dim).astype(np.float64)
-            mn = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-            sims = qn_ @ mn.T
-            out_q, out_v, out_s = [], [], []
-            for qi in range(len(qids)):
-                mask = np.isin(lids, probes_[qi]) & (ids != qids[qi])
-                s_m, ids_m = sims[qi][mask], ids[mask]
-                if len(s_m) > k:
-                    part = np.argpartition(-s_m, k)[:k]
-                    s_m, ids_m = s_m[part], ids_m[part]
-                out_q.append(np.full(len(ids_m), qids[qi], dtype=np.int64))
-                out_v.append(ids_m)
-                out_s.append(s_m)
-            return pa.table(
-                {
-                    "query_id": pa.array(np.concatenate(out_q)),
-                    id_col: pa.array(np.concatenate(out_v)),
-                    "cosine": pa.array(np.concatenate(out_s)),
-                }
-            )
+            mat = np.frombuffer(b"".join(blobs), dtype=vec_dtype).reshape(len(blobs), dim).astype(np.float64)
+            return ivf_partial(batch, mat, ray.get(state_ref), k, id_col)
 
-        partial = ds.map_batches(score, batch_format="pyarrow")
+        return _ranked_frame(read_pq(files).map_batches(score, batch_format="pyarrow"), k, id_col)
 
-        def final(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k).copy()
-            g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-            return g[["query_id", id_col, "rank"]]
 
-        return partial.groupby("query_id").map_groups(final, batch_format="pandas").to_pandas()
+def cosine_partial(qids: np.ndarray, ids: np.ndarray, sims: np.ndarray, k: int, id_col: str, keep=None) -> pa.Table:
+    """Per query ``i``, the k ids most similar by ``sims[i]`` (self and, when
+    given, the rows outside ``keep(i)`` excluded) as (query_id, id_col,
+    cosine) rows in the engine's ranking order."""
+
+    def row(i):
+        m = ids != qids[i]
+        if keep is not None:
+            m &= keep(i)
+        return ids[m], sims[i][m]
+
+    q, d, s = query_topk(qids, k, row)
+    return pa.table({"query_id": q, id_col: d, "cosine": s})
+
+
+def _ivf_state(queries: dict, probes: np.ndarray) -> tuple:
+    """What an IVF query broadcasts: (query ids, unit query rows, probes)."""
+    qm = queries["mat"].astype(np.float64)
+    return queries["vec_id"], qm / np.linalg.norm(qm, axis=1, keepdims=True), probes
+
+
+def ivf_partial(batch: pa.Table, mat: np.ndarray, state: tuple, k: int, id_col: str) -> pa.Table:
+    """The IVF per-batch combiner: cosine of every (query, row) pair, each
+    query ranking only the rows of its probed lists."""
+    qids, qn, probes = state
+    lids = batch.column("list_id").to_numpy()
+    mn = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+    sims = qn @ mn.T if len(mn) else np.empty((len(qids), 0))  # an empty batch's matrix is (0, 0)
+    return cosine_partial(
+        qids, batch.column(id_col).to_numpy(), sims, k, id_col, keep=lambda i: np.isin(lids, probes[i])
+    )
+
+
+def _no_rows(id_col: str) -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series(dtype=np.int64) for c in ("query_id", id_col, "rank")})
+
+
+def _ranked_frame(partial: "ray.data.Dataset", k: int, id_col: str) -> pd.DataFrame:
+    """The per-query top-k of ``partial`` as a (query_id, id_col, rank)
+    frame ordered by (query_id, rank)."""
+    out = topk_per_key(partial, "query_id", "cosine", id_col, k, True).select_columns(["query_id", id_col, "rank"])
+    df = out.to_pandas()
+    if df.empty:  # a result with no rows has no columns either
+        return _no_rows(id_col)
+    return df.sort_values(["query_id", "rank"], kind="mergesort").reset_index(drop=True)
 
 
 def ivf_cosine_topk(
@@ -236,52 +251,15 @@ def ivf_cosine_topk(
     combiner of the baseline."""
     centroids = train_centroids(emb, vec_col, nlist, seed=seed)
     listed = assign_lists(emb, centroids, vec_col)
-
-    qm = queries["mat"].astype(np.float64)
-    qn = qm / np.linalg.norm(qm, axis=1, keepdims=True)
-    qd = sq_dists(qm, centroids)
-    probes = np.argsort(qd, axis=1)[:, :nprobe]  # (Q, nprobe)
-    probed_lists = set(np.unique(probes).tolist())
-    state_ref = ray.put((queries["vec_id"], qn, probes, probed_lists))
+    probes = np.argsort(sq_dists(queries["mat"].astype(np.float64), centroids), axis=1)[:, :nprobe]  # (Q, nprobe)
+    probed = np.unique(probes)
+    state_ref = ray.put(_ivf_state(queries, probes))
 
     def score(batch: pa.Table) -> pa.Table:
-        qids, qn_, probes_, plists = ray.get(state_ref)
-        lid = batch.column("list_id").to_numpy()
-        keep = np.isin(lid, list(plists))
-        t = batch.filter(pa.array(keep))
-        if len(t) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()), id_col: pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
-        ids = t.column(id_col).to_numpy()
-        lids = t.column("list_id").to_numpy()
-        mat = vec_matrix(t.column(vec_col))
-        mn = mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
-        sims = qn_ @ mn.T
-        out_q, out_v, out_s = [], [], []
-        for qi in range(len(qids)):
-            mask = np.isin(lids, probes_[qi]) & (ids != qids[qi])
-            s_m, ids_m = sims[qi][mask], ids[mask]
-            if len(s_m) > k:
-                part = np.argpartition(-s_m, k)[:k]
-                s_m, ids_m = s_m[part], ids_m[part]
-            out_q.append(np.full(len(ids_m), qids[qi], dtype=np.int64))
-            out_v.append(ids_m)
-            out_s.append(s_m)
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_v)),
-                "cosine": pa.array(np.concatenate(out_s)),
-            }
-        )
+        t = batch.filter(pa.array(np.isin(batch.column("list_id").to_numpy(), probed)))
+        return ivf_partial(t, vec_matrix(t.column(vec_col)), ray.get(state_ref), k, id_col)
 
-    partial = listed.map_batches(score, batch_format="pyarrow")
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cosine", id_col], ascending=[False, True], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", id_col, "rank"]]
-
-    return partial.groupby("query_id").map_groups(final, batch_format="pandas").to_pandas()
+    return _ranked_frame(listed.map_batches(score, batch_format="pyarrow"), k, id_col)
 
 
 def kmeans_fit(

@@ -16,6 +16,8 @@ ship. Every wide step below is ONE exchange:
                          per partition (ray_guide.md 'Joins and lookups').
   attach_columns         the same join restricted to right payload
                          columns, with a unique right key.
+  topk_per_key           the per-key final top-k of every ranked stage:
+                         functions/topk.topk_rows on each partition.
 
   zip_with_index         deterministic dense 0..N-1 ids after a sort —
                          replaces the reference's mutex-guarded
@@ -37,6 +39,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from ..functions.topk import topk_rows
 
 
 def _exchange(
@@ -246,6 +250,19 @@ def attach_columns(
     a duplicated key raises ValueError instead of attaching whichever row
     came first."""
     return _join(left, right, on, on, "inner", num_buckets, cols)
+
+
+def topk_per_key(
+    ds: "ray.data.Dataset", key: str, score: str, id_col: str, k: int, descending: bool
+) -> "ray.data.Dataset":
+    """The first ``k`` rows of each ``key`` in the engine's ranking order
+    (``topk_rows``: ``score`` descending or ascending, ties by ascending
+    ``id_col``, NaN last), with an int64 ``rank`` appended — one exchange on
+    ``key``, one Arrow kernel per partition. Feed it per-batch partials of
+    at most k rows per key, so the exchange stays O(keys × blocks × k)."""
+    return _exchange(
+        [ds], [key], lambda t: topk_rows(t, key, score, id_col, k, descending), default_num_parts(), "pyarrow"
+    )
 
 
 def zip_with_index(ds: "ray.data.Dataset", id_col: str = "row_id") -> "ray.data.Dataset":

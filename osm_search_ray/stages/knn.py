@@ -7,7 +7,7 @@ The reference answers kNN with best-first traversal of a global R-tree
     broadcast once, every point batch computes distances to all queries
     vectorized and keeps a per-batch partial top-k — a combiner — so the
     shuffle/merge sees ≤ k rows per (query, block), never the full corpus.
-    Final per-query top-k merge is a tiny groupby.
+    The final per-query merge is joins.topk_per_key.
 
   * ``cell_knn`` (scale path): corpus pre-partitioned by grid cell
     (tiles written by the tiling pipeline); each query reads only the
@@ -22,55 +22,32 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
-from .joins import default_actor_pool
 
 from ..functions.cells import RES_FINE, cell_bounds, cell_of, ring_only
 from ..functions.geometry import haversine_km
+from ..functions.topk import query_topk
+from .joins import topk_per_key
 
 
-class PartialKNN:
-    """map_batches combiner: per batch, per query, keep the k nearest."""
+def knn_batch(
+    batch: pa.Table, queries: pa.Table, k: int, lat_col: str, lon_col: str, id_col: str, radius_km: float | None
+) -> pa.Table:
+    """The per-batch combiner of broadcast_knn: for each query, the k
+    nearest points of ``batch`` (within ``radius_km`` when given) as
+    (query_id, id_col, dist_km) rows, ties to the smaller id."""
+    lat = batch.column(lat_col).to_numpy()
+    lon = batch.column(lon_col).to_numpy()
+    ids = batch.column(id_col).to_numpy()
+    qlat = queries.column("qlat").to_numpy()
+    qlon = queries.column("qlon").to_numpy()
 
-    def __init__(self, queries_ref, k: int, lat_col: str, lon_col: str, id_col: str, radius_km: float | None):
-        q = ray.get(queries_ref) if not isinstance(queries_ref, pa.Table) else queries_ref
-        self.qid = q.column("query_id").to_numpy()
-        self.qlat = q.column("qlat").to_numpy()
-        self.qlon = q.column("qlon").to_numpy()
-        self.k = k
-        self.lat_col, self.lon_col, self.id_col = lat_col, lon_col, id_col
-        self.radius_km = radius_km
+    def row(i):
+        d = haversine_km(qlat[i], qlon[i], lat, lon)
+        keep = d <= radius_km if radius_km is not None else slice(None)
+        return ids[keep], -d[keep]  # nearest first = highest negated distance
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lat = batch.column(self.lat_col).to_numpy()
-        lon = batch.column(self.lon_col).to_numpy()
-        ids = batch.column(self.id_col).to_numpy()
-        out_q, out_id, out_d = [], [], []
-        for qi in range(len(self.qid)):
-            d = haversine_km(self.qlat[qi], self.qlon[qi], lat, lon)
-            if self.radius_km is not None:
-                keep = np.nonzero(d <= self.radius_km)[0]
-                d_k, ids_k = d[keep], ids[keep]
-            else:
-                d_k, ids_k = d, ids
-            if len(d_k) == 0:
-                continue
-            if len(d_k) > self.k:
-                part = np.argpartition(d_k, self.k)[: self.k]
-                d_k, ids_k = d_k[part], ids_k[part]
-            out_q.append(np.full(len(d_k), self.qid[qi], dtype=np.int64))
-            out_id.append(ids_k)
-            out_d.append(d_k)
-        if not out_q:
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()), self.id_col: pa.array([], pa.int64()), "dist_km": pa.array([], pa.float64())}
-            )
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                self.id_col: pa.array(np.concatenate(out_id)),
-                "dist_km": pa.array(np.concatenate(out_d)),
-            }
-        )
+    q, d, s = query_topk(queries.column("query_id").to_numpy(), k, row)
+    return pa.table({"query_id": q, id_col: d, "dist_km": -s})
 
 
 def broadcast_knn(
@@ -90,22 +67,12 @@ def broadcast_knn(
     Output: (query_id, id_col, dist_km, rank) with rank 1..k.
     """
     qref = ray.put(queries)
-    partial = points.map_batches(
-        PartialKNN,
-        fn_constructor_kwargs=dict(
-            queries_ref=qref, k=k, lat_col=lat_col, lon_col=lon_col, id_col=id_col, radius_km=radius_km
-        ),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=default_actor_pool(),
-    )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["dist_km", id_col], kind="mergesort").head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
+    def combine(batch: pa.Table) -> pa.Table:
+        return knn_batch(batch, ray.get(qref), k, lat_col, lon_col, id_col, radius_km)
 
-    return partial.groupby("query_id").map_groups(final_topk, batch_format="pandas")
+    partial = points.map_batches(combine, batch_format="pyarrow", batch_size=batch_size)
+    return topk_per_key(partial, "query_id", "dist_km", id_col, k, descending=False)
 
 
 def cell_knn_oneshot(

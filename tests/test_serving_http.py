@@ -18,7 +18,7 @@ import ray.data
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osm_search_ray import serving
+from osm_search_ray import serving, serving_http
 from osm_search_ray.functions.geometry import haversine_km
 from osm_search_ray.pipelines import text_index as ti
 from osm_search_ray.serving_http import GeofenceRegistry, ServingApp, start_http_server
@@ -380,6 +380,27 @@ class TestRawRequests:
         _, port = served
         socket.create_connection(("127.0.0.1", port), timeout=30).close()
         assert _raw(port, b"GET /api/reverse?lat=-6.121&lon=106.831 HTTP/1.0\r\n\r\n")[2]["doc_id"] == 0
+
+    def test_held_partial_request_does_not_block_others(self, app, monkeypatch):
+        """A client that sends part of a request and goes silent is dropped
+        after the read timeout, so the single-threaded server answers the
+        next client."""
+        monkeypatch.setattr(serving_http, "_READ_TIMEOUT_S", 0.5)
+        srv, port = start_http_server(app)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as held:
+                held.sendall(b"GET /api/rev")
+                t0 = time.monotonic()
+                with socket.create_connection(("127.0.0.1", port), timeout=3) as c:
+                    c.sendall(b"GET /api/reverse?lat=-6.121&lon=106.831 HTTP/1.0\r\n\r\n")
+                    raw = b""
+                    while chunk := c.recv(65536):
+                        raw += chunk
+                assert raw.startswith(b"HTTP/1.0 200 ") and time.monotonic() - t0 < 3
+                assert held.recv(65536) == b""  # dropped without an answer
+        finally:
+            srv.shutdown()
+            srv.server_close()
 
     def test_fault_in_app_is_500_with_traceback(self, served, capfd):
         app, port = served
