@@ -19,7 +19,6 @@ from ..sources.memo import memo, store_dir
 import ray.data
 
 from ..functions.arrowutil import vec_matrix
-from ..functions.topk import topk_rows
 from ..stages.annindex import cosine_partial
 from ..stages.joins import topk_per_key
 
@@ -398,7 +397,7 @@ def _knn_graph(path: str, k: int, nlist: int, nprobe: int):
             }
         )
 
-    def score_partition(df: pd.DataFrame) -> pd.DataFrame:
+    def score_partition(df: pd.DataFrame) -> pa.Table:
         out = []
         for _, g in df.groupby("list_id", sort=False):
             mem = g[g["side"] == 0]
@@ -412,26 +411,18 @@ def _knn_graph(path: str, k: int, nlist: int, nprobe: int):
             mn = mm / np.maximum(np.linalg.norm(mm, axis=1, keepdims=True), 1e-12)
             qn = qm / np.maximum(np.linalg.norm(qm, axis=1, keepdims=True), 1e-12)
             out.append(cosine_partial(qids, mids, qn @ mn.T, k, "neighbor_id"))
-        if not out:
-            return pd.DataFrame(
-                {
-                    "src_id": pd.Series(dtype=np.int64),
-                    "neighbor_id": pd.Series(dtype=np.int64),
-                    "cosine": pd.Series(dtype=np.float64),
-                }
-            )
-        return pa.concat_tables(out).rename_columns(["src_id", "neighbor_id", "cosine"]).to_pandas()
+        if not out:  # an empty partition still carries the schema
+            schema = pa.schema([("src_id", pa.int64()), ("neighbor_id", pa.int64()), ("cosine", pa.float64())])
+            return schema.empty_table()
+        return pa.concat_tables(out).rename_columns(["src_id", "neighbor_id", "cosine"])
 
     partial = hash_partitioned_apply(
         emb.map_batches(tag, batch_format="pyarrow"), "list_id", score_partition, num_parts=16
     )
 
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["src_id", "neighbor_id"])  # same pair can meet in several probed lists
-        t = topk_rows(pa.Table.from_pandas(df, preserve_index=False), "src_id", "cosine", "neighbor_id", k, True)
-        return t.select(["src_id", "neighbor_id", "rank"]).to_pandas()
-
-    return hash_partitioned_apply(partial, "src_id", final).materialize()
+    # a pair meets once: only in the neighbor's one member list, which each query probes at most once
+    ranked = topk_per_key(partial, "src_id", "cosine", "neighbor_id", k, True)
+    return ranked.select_columns(["src_id", "neighbor_id", "rank"]).materialize()
 
 
 SQL_KNN_GRAPH = f"""

@@ -41,7 +41,8 @@ from ..sources.readers import read_pq
 from ..sources.memo import memo
 
 from ..sources import derived as dv
-from ..stages.joins import hash_partitioned_apply
+from ..functions.topk import topk_rows
+from ..stages.joins import hash_partitioned_apply, topk_per_key
 
 CHUNK_WORDS = 5
 MIN_DOCS = 2  # chunk in >= this many distinct docs -> boilerplate
@@ -218,20 +219,12 @@ def domain_cap(sf_dir: str, k: int = DOMAIN_CAP_K):
     wp = dv.web_pages(sf_dir, columns=["doc_id", "domain"])
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = batch.select(["domain", "doc_id"]).to_pandas()
-        df = df.sort_values(["domain", "doc_id"], kind="mergesort")
-        return pa.Table.from_pandas(
-            df.groupby("domain", sort=False).head(k), preserve_index=False
-        )
-
-    def final(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["domain", "doc_id"], kind="mergesort")
-        g = df.groupby("domain", sort=False).head(k).copy()
-        g["rn"] = g.groupby("domain", sort=False).cumcount().to_numpy(np.int64) + 1
-        return g
+        t = topk_rows(batch.select(["domain", "doc_id"]), "domain", "doc_id", "doc_id", k, False)
+        return t.drop_columns(["rank"])
 
     partials = wp.map_batches(partial, batch_format="pyarrow")
-    return hash_partitioned_apply(partials, "domain", final, num_parts=16)
+    ranked = topk_per_key(partials, "domain", "doc_id", "doc_id", k, False)
+    return ranked.rename_columns({"rank": "rn"})
 
 
 SQL_DOMAIN_CAP = f"""

@@ -31,10 +31,12 @@ Usage (driver owns the Ray session, as everywhere in this repo)::
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import socketserver
 import threading
+import time
 import traceback
 from http import HTTPStatus
 from urllib.parse import parse_qs, unquote
@@ -251,7 +253,7 @@ class ServingApp:
 
 _MAX_LINE = 65536  # bytes in the request line or one header line, as http.server allows
 _MAX_HEADERS = 100
-_READ_TIMEOUT_S = 10.0  # a client silent this long mid-request is dropped: the server is single-threaded
+_READ_TIMEOUT_S = 10.0  # a request not read in full this long after it starts is dropped: the server is single-threaded
 _METHODS = ("GET", "POST", "DELETE")
 _VERSION_RE = re.compile(r"HTTP/1\.[0-9]+")
 
@@ -299,17 +301,35 @@ def _answer(rfile, app: ServingApp) -> tuple[int, dict] | None:
         return 500, {"error": repr(e)}
 
 
+class _RequestReader(io.RawIOBase):
+    """The socket under one request's reads: every ``recv`` waits only for
+    what is left of one ``_READ_TIMEOUT_S`` deadline and then raises
+    ``TimeoutError``, so a client that trickles bytes is dropped as surely
+    as a silent one."""
+
+    def __init__(self, sock):
+        self._sock, self._deadline = sock, time.monotonic() + _READ_TIMEOUT_S
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request not read in time")
+        self._sock.settimeout(left)
+        return self._sock.recv_into(buf)
+
+
 def start_http_server(app: ServingApp, port: int = 0):
     """Serve ``app`` on localhost in a daemon thread; returns
     (server, bound_port). ``port=0`` binds an ephemeral port (tests)."""
 
     class _Handler(socketserver.StreamRequestHandler):
-        timeout = _READ_TIMEOUT_S  # setup() applies it to the socket
-
         def handle(self):
             try:
-                answer = _answer(self.rfile, app)
-            except TimeoutError:  # a partial request held open: drop it unanswered
+                answer = _answer(io.BufferedReader(_RequestReader(self.connection)), app)
+            except TimeoutError:  # a request held open or trickled past its deadline: drop it unanswered
                 return
             if answer is None:  # closed without a request: nothing to answer
                 return
@@ -317,6 +337,7 @@ def start_http_server(app: ServingApp, port: int = 0):
             data = json.dumps(payload).encode()
             head = f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
             head += f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n"
+            self.connection.settimeout(_READ_TIMEOUT_S)  # the answer gets its own, not the request's rest
             self.wfile.write(head.encode() + data)  # one write; HTTP/1.0 closes after it
 
     class _Server(socketserver.TCPServer):

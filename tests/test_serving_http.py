@@ -7,6 +7,7 @@ is tested without sockets; the e2e tests go through the HTTP server."""
 import json
 import math
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -399,6 +400,42 @@ class TestRawRequests:
                 assert raw.startswith(b"HTTP/1.0 200 ") and time.monotonic() - t0 < 3
                 assert held.recv(65536) == b""  # dropped without an answer
         finally:
+            srv.shutdown()
+            srv.server_close()
+
+    def test_trickled_request_does_not_block_others(self, app, monkeypatch):
+        """A client that sends one byte more often than the read timeout
+        still has one deadline for its whole request, so it is dropped and
+        the single-threaded server answers the next client."""
+        monkeypatch.setattr(serving_http, "_READ_TIMEOUT_S", 0.5)
+        srv, port = start_http_server(app)
+        stop = threading.Event()
+
+        def trickle(sock):
+            for b in b"GET /api/reverse?lat=-6.121&lon=106.831" * 4:
+                if stop.wait(0.1):
+                    return
+                try:
+                    sock.send(bytes([b]))
+                except OSError:  # dropped by the server
+                    return
+
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=30) as held:
+                feeder = threading.Thread(target=trickle, args=(held,))
+                feeder.start()
+                time.sleep(0.2)  # the server is reading the trickled request
+                t0 = time.monotonic()
+                with socket.create_connection(("127.0.0.1", port), timeout=3) as c:
+                    c.sendall(b"GET /api/reverse?lat=-6.121&lon=106.831 HTTP/1.0\r\n\r\n")
+                    raw = b""
+                    while chunk := c.recv(65536):
+                        raw += chunk
+                assert raw.startswith(b"HTTP/1.0 200 ") and time.monotonic() - t0 < 3
+                stop.set()
+                feeder.join()
+        finally:
+            stop.set()
             srv.shutdown()
             srv.server_close()
 

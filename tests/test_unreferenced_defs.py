@@ -2,9 +2,10 @@
 
 A def counts as referenced when its name appears (word-bounded) anywhere in
 the library, ``tools``, ``jobs``, ``perfbench``, ``bench.py`` or
-``__ray_entry__.py`` outside its own definition. ``ALLOWED`` lists the defs
-that only tests call; it may only shrink: a listed def that is gone, or
-that gained a caller, fails the test until it is taken off the list."""
+``__ray_entry__.py`` outside its own definition; test modules there are
+not searched. ``ALLOWED`` lists the defs that only tests call; it may only
+shrink: a listed def that is gone, or that gained a caller, fails the test
+until it is taken off the list."""
 
 import ast
 import os
@@ -38,10 +39,15 @@ ALLOWED = {
 
 
 def _py_files(d: str) -> list[str]:
+    """The program files under ``d``: test modules and ``conftest.py`` are not callers."""
     out = []
     for dirpath, dirnames, filenames in os.walk(d):
         dirnames[:] = [n for n in dirnames if n != "__pycache__"]
-        out += [os.path.join(dirpath, f) for f in filenames if f.endswith(".py")]
+        out += [
+            os.path.join(dirpath, f)
+            for f in filenames
+            if f.endswith(".py") and not f.startswith("test_") and f != "conftest.py"
+        ]
     return sorted(out)
 
 
