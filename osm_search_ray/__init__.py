@@ -9,13 +9,14 @@ geofencing — plus the large-scale training-data operators (dedup families,
 similarity search, text analysis) a 100 TB pipeline needs.
 
 Everything is expressed Ray-Data-first: ``ray.data.Dataset`` pipelines of
-``map_batches`` over zero-copy Arrow batches, actor pools for stateful
-stages, groupby/sort shuffles for the wide steps.
+``map_batches`` of plain per-batch functions over zero-copy Arrow batches
+(stage state built on the driver and ``ray.put`` once; no actor pools),
+one hash exchange and sorts for the wide steps.
 
 Layout:
   functions/  pure vectorized kernels (cells, geometry, tokenize, hashing)
   sources/    fixture generators, readers, checkpointed sinks
-  stages/     map_batches stages + stateful actor classes
+  stages/     map_batches stages (plain per-batch functions)
   pipelines/  end-to-end pipelines (ingest, index build, queries)
   state/      broadcast state helpers (vocab, LM, small dim tables)
 """

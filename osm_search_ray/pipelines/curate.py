@@ -207,7 +207,7 @@ CCNET_K = 3  # head / middle / tail
 def ccnet_buckets(sf_dir: str, k: int = CCNET_K):
     """CCNet-style head/middle/tail partition (Wenzek et al. 2020,
     arXiv:1911.00359): every doc scored by the corpus's own 4-gram
-    stupid-backoff LM (search_docs.lm_doc_scores — actor-pool scoring,
+    stupid-backoff LM (search_docs.lm_doc_scores — per-batch scoring,
     broadcast LM), ranked by per-token perplexity proxy and cut into k
     equal NTILE buckets — bucket 1 = head (lowest perplexity), k = tail.
 
@@ -216,7 +216,7 @@ def ccnet_buckets(sf_dir: str, k: int = CCNET_K):
     numpy `//` equals SQL `//` exactly; -inf-scored or token-free docs get
     PPX_SENTINEL (always the tail).  Output (doc_id, ppx_scaled, bucket).
 
-    Scale: LM scoring is one actor-pool scan; the NTILE is the
+    Scale: LM scoring is one streaming scan; the NTILE is the
     global_rank machinery — one range-exchange sort + per-block offsets
     (O(blocks) driver ints, no data re-movement after the sort)."""
     from ..stages.joins import zip_with_index

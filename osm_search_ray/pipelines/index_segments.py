@@ -186,19 +186,6 @@ def segmented_point_query(index_dir: str, tokens) -> tuple[dict[str, int], pd.Da
     return found, posts_all, merged_globals(segs)
 
 
-class _TermUnmapper:
-    """Actor-pool stage: dense term_id → term string by array indexing
-    (term ids are dense in sorted order, so the inverse of _TermIdMapper is
-    one fancy-index per batch)."""
-
-    def __init__(self, terms_ref):
-        self.terms = ray.get(terms_ref)
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        tid = t.column("term_id").to_numpy(zero_copy_only=False)
-        return t.append_column("term", pa.array(self.terms[tid].tolist(), pa.string()))
-
-
 def _read_parts(sub_dir: str, columns: list[str] | None = None) -> "ray.data.Dataset":
     """part=K/data.parquet reader serving BOTH store writers: manifest-driven
     for checkpointed (save_text_index_ds) stores, part-glob for driver-side
@@ -263,19 +250,17 @@ def _segment_raw(seg_dir: str) -> "ray.data.Dataset":
         )
 
     if has_terms and use_broadcast:
-        # read_pq may coalesce small parts into fewer blocks than parts, so
-        # the pool starts at one actor and grows to at most one per part
-        from ..stages.joins import default_actor_pool
+        def unmap_ids(t: pa.Table) -> pa.Table:
+            """dense term_id → term string: ids are dense in sorted order, so
+            the inverse of the build's searchsorted is one fancy-index."""
+            tid = t.column("term_id").to_numpy(zero_copy_only=False)
+            return t.append_column("term", pa.array(ray.get(terms_ref)[tid].tolist(), pa.string()))
 
-        n_parts = len(_g.glob(os.path.join(seg_dir, "postings", "part=*")))
+        # one call per block (batch_size=None): the term array is an object
+        # array, so each ray.get unpickles it whole
         posts = (
             _read_parts(f"{seg_dir}/postings", columns=_POSTING_COLS)
-            .map_batches(
-                _TermUnmapper,
-                fn_constructor_kwargs=dict(terms_ref=terms_ref),
-                batch_format="pyarrow",
-                concurrency=(1, max(1, min(n_parts, default_actor_pool()[1]))),
-            )
+            .map_batches(unmap_ids, batch_format="pyarrow", batch_size=None)
             .map_batches(project, batch_format="pyarrow")
         )
     elif has_terms:

@@ -493,7 +493,10 @@ def enrich_addresses(
     (unconditional 1-NN over street centroids by the equirect ranking
     metric — reference indexer.go:1030-1037 via the street R-tree).
 
-    boundaries_pd / streets_pd are the small broadcast sides.
+    boundaries_pd / streets_pd are the small broadcast sides: the polygon
+    sets, the name dicts and the StreetGrid are built here and put once,
+    and each batch gets them with ray.get (7 ms per batch for a 20k-street
+    grid on a one-CPU host, against ~1.3 s to start an actor).
     """
     by_level: dict[str, PolygonSet] = {}
     meta: dict[str, dict[int, tuple[str, str]]] = {}
@@ -503,89 +506,82 @@ def enrich_addresses(
         meta[level] = {
             int(r): (nm, pc_ or "") for r, nm, pc_ in zip(grp["rel_id"], grp["name"], grp["postal_code"])
         }
+    # the street grid is built once here and put with the rest of the state
+    streets = None
     if streets_pd is not None and len(streets_pd):
-        streets_state = (
+        streets = (
             streets_pd["name"].to_numpy(dtype=object),
-            streets_pd["clat"].to_numpy(dtype=np.float64),
-            streets_pd["clon"].to_numpy(dtype=np.float64),
+            StreetGrid(streets_pd["clat"].to_numpy(dtype=np.float64), streets_pd["clon"].to_numpy(dtype=np.float64)),
         )
-    else:
-        streets_state = None
-    state_ref = ray.put((by_level, meta, streets_state))
+    state_ref = ray.put((by_level, meta, streets))
 
-    class Enricher:
-        def __init__(self):
-            self.by_level, self.meta, self.streets = ray.get(state_ref)
-            # grid built ONCE per actor from the broadcast street table
-            self.street_grid = StreetGrid(self.streets[1], self.streets[2]) if self.streets is not None else None
+    def enrich(batch: pa.Table) -> pa.Table:
+        by_level, meta, streets = ray.get(state_ref)
+        names, grid = streets if streets is not None else (None, None)
+        lat = batch.column("lat").to_numpy()
+        lon = batch.column("lon").to_numpy()
+        n = len(batch)
+        slots = {f: np.full(n, "", dtype=object) for f, _ in ADMIN_LEVEL_FIELD.values()}
+        postal_by_level = {lv: np.full(n, "", dtype=object) for lv in ADMIN_LEVEL_FIELD}
+        for level, (field, rule) in ADMIN_LEVEL_FIELD.items():
+            pset = by_level.get(level)
+            if pset is None:
+                continue
+            if rule == "bbox":
+                # country: first bbox hit, no PIP (reference quirk)
+                for j in range(len(pset.poly_id)):
+                    b = pset.bbox[j]
+                    hit = (lat >= b[0]) & (lat <= b[2]) & (lon >= b[1]) & (lon <= b[3])
+                    fresh = hit & (slots[field] == "")
+                    nm, _ = meta[level][int(pset.poly_id[j])]
+                    slots[field][fresh] = nm
+                continue
+            pt_idx, pl_idx = pset.locate(lat, lon)
+            order = np.argsort(pl_idx, kind="stable")
+            if rule == "first":
+                order = order[::-1]  # later writes win ⇒ apply descending so FIRST poly sticks
+            for p, j in zip(pt_idx[order], pl_idx[order]):
+                nm, pcode = meta[level][int(pset.poly_id[j])]
+                slots[field][p] = nm
+                if pcode:
+                    postal_by_level[level][p] = pcode
+        # postal fallback: most specific admin level wins (the reference
+        # takes the kelurahan postal code, pkg/index/indexer.go:1017-1170)
+        postal_fb = np.full(n, "", dtype=object)
+        for lv in ("7", "6", "5", "4"):
+            empty = postal_fb == ""
+            postal_fb[empty] = postal_by_level[lv][empty]
+        street = batch.column("street").to_numpy(zero_copy_only=False).copy()
+        # nearest-street fallback (reference indexer.go:1030-1037)
+        if grid is not None:
+            midx = np.nonzero(np.asarray([not s for s in street]))[0]
+            if len(midx):
+                # exact grid-bucketed 1-NN (StreetGrid) — O(local
+                # density) per doc, replacing the (missing × streets)
+                # distance matrix that cost ~27 s per 12.5k-doc batch
+                # at 20k streets. Beyond ~10^6 streets the broadcast
+                # table itself outgrows a worker — at that scale
+                # streets move into the cell-partitioned tile store
+                # and this becomes a cell_knn lookup.
+                street[midx] = names[grid.nearest(lat[midx], lon[midx])]
+        housenum = batch.column("house_number").to_numpy(zero_copy_only=False)
+        postal = batch.column("postal_code").to_numpy(zero_copy_only=False)
+        address = []
+        for i in range(n):
+            parts = [
+                street[i] or "",
+                housenum[i] or "",
+                slots["kelurahan"][i],
+                slots["kecamatan"][i],
+                slots["city"][i],
+                slots["province"][i],
+                (postal[i] or "") or postal_fb[i],
+                slots["country"][i],
+            ]
+            address.append(", ".join([p for p in parts if p]))
+        out = batch
+        for f in ("kelurahan", "kecamatan", "city", "province", "country"):
+            out = out.append_column(f, pa.array(slots[f], pa.string()))
+        return out.append_column("address", pa.array(address, pa.string()))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            lat = batch.column("lat").to_numpy()
-            lon = batch.column("lon").to_numpy()
-            n = len(batch)
-            slots = {f: np.full(n, "", dtype=object) for f, _ in ADMIN_LEVEL_FIELD.values()}
-            postal_by_level = {lv: np.full(n, "", dtype=object) for lv in ADMIN_LEVEL_FIELD}
-            for level, (field, rule) in ADMIN_LEVEL_FIELD.items():
-                pset = self.by_level.get(level)
-                if pset is None:
-                    continue
-                if rule == "bbox":
-                    # country: first bbox hit, no PIP (reference quirk)
-                    for j in range(len(pset.poly_id)):
-                        b = pset.bbox[j]
-                        hit = (lat >= b[0]) & (lat <= b[2]) & (lon >= b[1]) & (lon <= b[3])
-                        fresh = hit & (slots[field] == "")
-                        nm, _ = self.meta[level][int(pset.poly_id[j])]
-                        slots[field][fresh] = nm
-                    continue
-                pt_idx, pl_idx = pset.locate(lat, lon)
-                order = np.argsort(pl_idx, kind="stable")
-                if rule == "first":
-                    order = order[::-1]  # later writes win ⇒ apply descending so FIRST poly sticks
-                for p, j in zip(pt_idx[order], pl_idx[order]):
-                    nm, pcode = self.meta[level][int(pset.poly_id[j])]
-                    slots[field][p] = nm
-                    if pcode:
-                        postal_by_level[level][p] = pcode
-            # postal fallback: most specific admin level wins (the reference
-            # takes the kelurahan postal code, pkg/index/indexer.go:1017-1170)
-            postal_fb = np.full(n, "", dtype=object)
-            for lv in ("7", "6", "5", "4"):
-                empty = postal_fb == ""
-                postal_fb[empty] = postal_by_level[lv][empty]
-            street = batch.column("street").to_numpy(zero_copy_only=False).copy()
-            # nearest-street fallback (reference indexer.go:1030-1037)
-            if self.streets is not None:
-                s_names = self.streets[0]
-                missing = np.asarray([not s for s in street])
-                midx = np.nonzero(missing)[0]
-                if len(midx):
-                    # exact grid-bucketed 1-NN (StreetGrid) — O(local
-                    # density) per doc, replacing the (missing × streets)
-                    # distance matrix that cost ~27 s per 12.5k-doc batch
-                    # at 20k streets. Beyond ~10^6 streets the broadcast
-                    # table itself outgrows an actor — at that scale
-                    # streets move into the cell-partitioned tile store
-                    # and this becomes a cell_knn lookup.
-                    street[midx] = s_names[self.street_grid.nearest(lat[midx], lon[midx])]
-            housenum = batch.column("house_number").to_numpy(zero_copy_only=False)
-            postal = batch.column("postal_code").to_numpy(zero_copy_only=False)
-            address = []
-            for i in range(n):
-                parts = [
-                    street[i] or "",
-                    housenum[i] or "",
-                    slots["kelurahan"][i],
-                    slots["kecamatan"][i],
-                    slots["city"][i],
-                    slots["province"][i],
-                    (postal[i] or "") or postal_fb[i],
-                    slots["country"][i],
-                ]
-                address.append(", ".join([p for p in parts if p]))
-            out = batch
-            for f in ("kelurahan", "kecamatan", "city", "province", "country"):
-                out = out.append_column(f, pa.array(slots[f], pa.string()))
-            return out.append_column("address", pa.array(address, pa.string()))
-
-    return docs.map_batches(Enricher, batch_format="pyarrow", concurrency=(1, 4))
+    return docs.map_batches(enrich, batch_format="pyarrow")

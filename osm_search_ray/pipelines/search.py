@@ -1,11 +1,15 @@
 """Batch search pipelines — the engine form of the reference HTTP endpoints
-(SURVEY.md §3.2/§3.3): a ``queries`` table streamed through actor-pool stages
-holding the (broadcast) index state, instead of goroutine-per-request over
-global in-RAM indexes.
+(SURVEY.md §3.2/§3.3): a ``queries`` table streamed through plain per-batch
+functions over the (broadcast) index state, instead of goroutine-per-request
+over global in-RAM indexes.
 
-Scale shape: the query table is the STREAMED side; index artifacts (terms,
-postings restricted per batch, doc store) are broadcast via ``ray.put`` once
-and materialized once per actor in ``__init__``.  At 100 TB-corpus scale the
+Scale shape: the query table is the STREAMED side; the search state (a
+SearchCore, a corrector) is built once on the driver, ``ray.put`` once, and
+each batch gets it with ``ray.get`` — no actor pool, which could hold a
+one-CPU cluster's only CPU before the tasks that feed it run. A SearchCore
+is numpy arrays plus per-term dicts (0.34 ms per ``ray.get`` at sf0.01); a
+corrector carries the n-gram LM (~24 ms per ``ray.get`` at sf0.01), paid
+once per batch of queries.  At 100 TB-corpus scale the
 postings would be a term_id-partitioned Parquet dataset and this stage would
 flip to streaming postings past broadcast queries — same operator, the small
 side swaps (documented in pipelines/text_index.py).
@@ -17,7 +21,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
-from ..stages.joins import default_actor_pool
 import ray.data
 
 from ..functions.tokenize import tokenize
@@ -101,8 +104,8 @@ class _Core:
 
 class SearchCore(_Core):
     """The in-RAM query engine: vocab + per-term postings + globals (+
-    optional spell corrector). Shared by the batch actor-pool stage
-    (SearchActor) and the serving session (serving.Session) — one scoring
+    optional spell corrector). Shared by the batch stage (free_form_search)
+    and the serving session (serving.Session) — one scoring
     implementation, two execution shapes.
 
     The constructor plans BM25F once: postings sorted stably by term_id
@@ -155,82 +158,60 @@ class SearchCore(_Core):
         return group_sum(np.concatenate([self._doc[a:b] for a, b, _ in spans]), w)
 
 
-class SearchActor:
-    """Actor-pool stage: holds a SearchCore, scores query batches.
+def free_form_search(
+    index: TextIndex, queries: "ray.data.Dataset | pd.DataFrame", corrector=None
+) -> "ray.data.Dataset":
+    """queries(query_id, text[, scoring, top_k, offset]) → ranked results.
 
     Optionally spell-corrects out-of-vocabulary terms with the state/spell.py
     corrector (T4/T5) before scoring — mirroring FreeFormQuery
     (/root/reference/pkg/searcher/searcher.go:150-246)."""
+    if isinstance(queries, pd.DataFrame):
+        queries = ray.data.from_pandas(queries)
+    ref = ray.put(SearchCore(index, corrector))
 
-    def __init__(self, index_ref, corrector_ref=None):
-        index: TextIndex = ray.get(index_ref)
-        corrector = ray.get(corrector_ref) if corrector_ref is not None else None
-        self.core = SearchCore(index, corrector)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        res = self.core.search_rows(batch.to_pylist())
+    def search_batch(batch: pa.Table) -> pa.Table:
+        res = ray.get(ref).search_columns(batch.to_pylist())
         return pa.table(
             {
-                "query_id": pa.array(res["query_id"].to_numpy(dtype=np.int64)),
-                "doc_id": pa.array(res["doc_id"].to_numpy(dtype=np.int64)),
-                "score": pa.array(res["score"].to_numpy(dtype=np.float64)),
-                "rank": pa.array(res["rank"].to_numpy(dtype=np.int64)),
+                "query_id": pa.array(res["query_id"].astype(np.int64)),
+                "doc_id": pa.array(res["doc_id"].astype(np.int64)),
+                "score": pa.array(res["score"]),
+                "rank": pa.array(res["rank"].astype(np.int64)),
             }
         )
 
-
-def free_form_search(
-    index: TextIndex,
-    queries: "ray.data.Dataset | pd.DataFrame",
-    corrector=None,
-    concurrency=None,
-) -> "ray.data.Dataset":
-    """queries(query_id, text[, scoring, top_k, offset]) → ranked results."""
-    if isinstance(queries, pd.DataFrame):
-        queries = ray.data.from_pandas(queries)
-    index_ref = ray.put(index)
-    corrector_ref = ray.put(corrector) if corrector is not None else None
-    return queries.map_batches(
-        SearchActor,
-        fn_constructor_kwargs=dict(index_ref=index_ref, corrector_ref=corrector_ref),
-        batch_format="pyarrow",
-        concurrency=concurrency or default_actor_pool(),
-    )
+    return queries.map_batches(search_batch, batch_format="pyarrow")
 
 
-def boolean_and_search(index: TextIndex, queries: "ray.data.Dataset | pd.DataFrame", concurrency=None):
+def boolean_and_search(index: TextIndex, queries: "ray.data.Dataset | pd.DataFrame"):
     """J5 — implicit-AND boolean retrieval: docs containing ALL query terms
     (sorted-posting intersection, /root/reference/pkg/searcher/searcher.go:572-630;
     OR/NOT are parsed but unimplemented there, :664-670 — matched here)."""
     if isinstance(queries, pd.DataFrame):
         queries = ray.data.from_pandas(queries)
-    index_ref = ray.put(index)
+    merged = index.postings.groupby(["term_id", "doc_id"]).size().reset_index(name="n")
+    ref = ray.put((index.vocab(), {t: g["doc_id"].to_numpy() for t, g in merged.groupby("term_id")}))
 
-    class AndActor:
-        def __init__(self):
-            index: TextIndex = ray.get(index_ref)
-            self.vocab = index.vocab()
-            merged = index.postings.groupby(["term_id", "doc_id"]).size().reset_index(name="n")
-            self.docs_by_term = {t: g["doc_id"].to_numpy() for t, g in merged.groupby("term_id")}
+    def and_batch(batch: pa.Table) -> pa.Table:
+        vocab, docs_by_term = ray.get(ref)
+        out_q, out_d = [], []
+        for row in batch.to_pylist():
+            tids = [vocab.get(t, -1) for t in tokenize(row["text"])]
+            if not tids or any(t < 0 for t in tids):
+                continue
+            acc = None
+            for t in dict.fromkeys(tids):
+                docs = docs_by_term.get(t, np.empty(0, np.int64))
+                acc = docs if acc is None else np.intersect1d(acc, docs)
+                if len(acc) == 0:
+                    break
+            for d in acc if acc is not None else []:
+                out_q.append(row["query_id"])
+                out_d.append(int(d))
+        return pa.table({"query_id": pa.array(out_q, pa.int64()), "doc_id": pa.array(out_d, pa.int64())})
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out_q, out_d = [], []
-            for row in batch.to_pylist():
-                tids = [self.vocab.get(t, -1) for t in tokenize(row["text"])]
-                if not tids or any(t < 0 for t in tids):
-                    continue
-                acc = None
-                for t in dict.fromkeys(tids):
-                    docs = self.docs_by_term.get(t, np.empty(0, np.int64))
-                    acc = docs if acc is None else np.intersect1d(acc, docs)
-                    if len(acc) == 0:
-                        break
-                for d in acc if acc is not None else []:
-                    out_q.append(row["query_id"])
-                    out_d.append(int(d))
-            return pa.table({"query_id": pa.array(out_q, pa.int64()), "doc_id": pa.array(out_d, pa.int64())})
-
-    return queries.map_batches(AndActor, batch_format="pyarrow", concurrency=concurrency or default_actor_pool())
+    return queries.map_batches(and_batch, batch_format="pyarrow")
 
 
 def validate_queries(queries: "ray.data.Dataset", require_geo: bool = False) -> "ray.data.Dataset":
@@ -272,24 +253,17 @@ def autocomplete_columns(corrector, rows: list[dict], top_n: int = 3) -> dict[st
     return out
 
 
-def autocomplete_search(
-    corrector, queries: "ray.data.Dataset | pd.DataFrame", top_n: int = 3, concurrency=None
-) -> "ray.data.Dataset":
-    """Batch autocomplete: queries(query_id, text) streamed through an
-    actor pool holding the corrector (sorted vocab + LM) — the engine form
-    of GET /api/autocomplete: ``autocomplete_columns`` per batch."""
+def autocomplete_search(corrector, queries: "ray.data.Dataset | pd.DataFrame", top_n: int = 3) -> "ray.data.Dataset":
+    """Batch autocomplete: queries(query_id, text) streamed past the
+    corrector (sorted vocab + LM, put once) — the engine form of GET
+    /api/autocomplete: ``autocomplete_columns`` per batch."""
     if isinstance(queries, pd.DataFrame):
         queries = ray.data.from_pandas(queries)
     ref = ray.put(corrector)
-
-    class AutocompleteActor:
-        def __init__(self):
-            self.sc = ray.get(ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return pa.table(autocomplete_columns(self.sc, batch.to_pylist(), top_n), schema=_AUTOCOMPLETE_SCHEMA)
-
-    return queries.map_batches(AutocompleteActor, batch_format="pyarrow", concurrency=concurrency or default_actor_pool())
+    return queries.map_batches(
+        lambda t: pa.table(autocomplete_columns(ray.get(ref), t.to_pylist(), top_n), schema=_AUTOCOMPLETE_SCHEMA),
+        batch_format="pyarrow",
+    )
 
 
 class DiskSearchCore(_Core):

@@ -16,8 +16,10 @@ requested terms' postings — re-expressed as a stream):
   2. one tiny filtered collect pulls those partial rows (≤ |query vocab|
      + 1 per batch) — the df table and globals, no second tokenize pass.
   3. scoring: map_batches over the match stream with the broadcast
-     (df, avg_len, query→terms) dicts → per-(query,doc) partial scores →
-     groupby(query_id, doc_id) sum → per-query top-k via map_groups.
+     (df, avg_len, query→terms) dicts → per-(query,doc) scores, final per
+     batch → per-batch partial top-k and the driver merge, both through
+     functions/topk.topk_rows (_finalize_topk). Every stage is a plain
+     per-batch function; no actor pool.
 
 Only the stats partials (1 row/batch), the per-term df table and the final
 top-k ever reach the driver.
@@ -50,12 +52,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ..stages.joins import default_actor_pool
 from ..sources.readers import read_pq
 from ..sources.memo import memo, store_dir
 import ray.data
 
 from ..functions.tokenize import SQL_TOKENIZE, tokenize, tokenize_array
+from ..functions.topk import topk_rows
 
 QUERIES: list[tuple[int, str]] = [
     (0, "spark join"),
@@ -230,29 +232,20 @@ def _finalize_topk(scored: "ray.data.Dataset", top_k: int) -> pd.DataFrame:
     (query, doc) — each doc's matches are confined to one block (see
     _scan_matches), so the per-batch (query, doc) sums ARE the totals.
     micro-int → per-batch PARTIAL top-k (combiner) → final driver merge
-    over ≤ blocks×queries×k rows."""
+    over ≤ blocks×queries×k rows, both through ``topk_rows`` (score_micro
+    descending, ties to the smaller doc_id)."""
 
-    def micro_partial_topk(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["score_micro"] = np.rint(df["score"].to_numpy(dtype=np.float64) * 1e6).astype(np.int64)
-        df = df.sort_values(["score_micro", "doc_id"], ascending=[False, True], kind="mergesort")
-        return df.groupby("query_id", sort=False).head(top_k)[["query_id", "doc_id", "score_micro"]]
+    def micro_partial_topk(t: pa.Table) -> pa.Table:
+        micro = np.rint(t.column("score").to_numpy().astype(np.float64) * 1e6).astype(np.int64)
+        t = pa.table({"query_id": t.column("query_id"), "doc_id": t.column("doc_id"), "score_micro": micro})
+        return topk_rows(t, "query_id", "score_micro", "doc_id", top_k, descending=True).drop_columns("rank")
 
-    parts = [
-        b
-        for b in scored.map_batches(micro_partial_topk, batch_format="pandas", batch_size=None).iter_batches(
-            batch_size=None, batch_format="pandas"
-        )
-    ]
+    partials = scored.map_batches(micro_partial_topk, batch_format="pyarrow", batch_size=None)
+    parts = [p for p in partials.iter_batches(batch_size=None, batch_format="pyarrow") if p.num_rows]
     if not parts:
         return _EMPTY_RESULT.copy()
-    out = pd.concat(parts, ignore_index=True)
-    if len(out) == 0:
-        return _EMPTY_RESULT.copy()
-    out = out.sort_values(["score_micro", "doc_id"], ascending=[False, True], kind="mergesort")
-    out = out.groupby("query_id", sort=False).head(top_k).copy()
-    out["rank"] = out.groupby("query_id", sort=False).cumcount() + 1
-    out = out[["query_id", "doc_id", "rank", "score_micro"]].astype(np.int64)
+    out = topk_rows(pa.concat_tables(parts), "query_id", "score_micro", "doc_id", top_k, descending=True)
+    out = out.select(["query_id", "doc_id", "rank", "score_micro"]).to_pandas().astype(np.int64)
     return out.sort_values(["query_id", "rank"], kind="mergesort").reset_index(drop=True)
 
 
@@ -791,7 +784,7 @@ def _store_search(sf_dir: str, text_cols: dict[str, int], term_lists: list[tuple
 def _rank_queries(ids: dict, posts, g: dict, term_lists, scorer):
     """Shared ranking loop over a resolved (term→id, postings, globals)
     triple — the monolithic store, the segmented store, and the serving
-    actors all feed it."""
+    sessions all feed it."""
     out = []
     for qid, terms in term_lists:
         tids = [ids[t] for t in terms if t in ids]
@@ -926,7 +919,7 @@ def spell_store_search(sf_dir: str):
 def spell_search_docs(sf_dir: str):
     """Spell-corrected BM25+ search: queries with seeded typos are corrected
     by the Levenshtein-candidates × 4-gram-LM ranking (T4/T5), then scored
-    against the documents index through the SearchActor pool. Exact SQL
+    against the documents index through free_form_search. Exact SQL
     oracle since r04 (_sql_spell_search: the correction walk + LM argmax in
     recursive CTEs feeding the BM25+ CTEs); correction parity with the
     reference fixtures is also unit-tested (tests/test_search.py TestSpell).
@@ -956,8 +949,12 @@ def lm_doc_scores(sf_dir: str):
     """Per-document 4-gram LM log-probability — the quality-filter-by-
     perplexity pass of a training-data pipeline, using the corpus's own
     stupid-backoff LM (T5 kernel). The LM is built once (shared _lm_state
-    cache with spell/autocomplete), broadcast via ray.put, and scoring runs
-    in an actor pool (state loaded once per actor, per ray_guide.md).
+    cache with spell/autocomplete), put once, and each batch gets it with
+    ray.get in a plain per-batch function — no actor pool. The LM is a
+    ~1.35 MB pickle of Python dicts at sf0.01 and unpickles in ~24 ms per
+    1,024-doc batch; an actor takes ~1.3 s to start on the same host, so a
+    task wins below ~55 batches per actor and still finishes on a one-CPU
+    cluster, where an actor pool can hold the only CPU.
 
     Exact DuckDB oracle since r04 (sql_lm_doc_scores — the full stupid-
     backoff LM relationally); the distributed path is additionally pinned
@@ -975,30 +972,26 @@ def _lm_doc_scores_build(sf_dir: str):
     lm_ref = ray.put(lm)
     NEG_SENTINEL = -(2**62)
 
-    class Scorer:
-        def __init__(self):
-            self.lm = ray.get(lm_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            toks, counts = tokenize_array(batch.column("text").to_pylist())
-            off = np.concatenate([[0], np.cumsum(counts)])
-            lps = np.array(
-                [self.lm.query_log_prob(toks[off[i] : off[i + 1]].tolist()) for i in range(len(counts))],
-                dtype=np.float64,
-            )
-            finite = np.isfinite(lps)
-            milli = np.where(finite, np.rint(np.where(finite, lps, 0.0) * 1000), NEG_SENTINEL).astype(np.int64)
-            return pa.table(
-                {
-                    "doc_id": batch.column("doc_id"),
-                    "n_tokens": pa.array(counts.astype(np.int64)),
-                    "logprob_milli": pa.array(milli),
-                    "is_finite": pa.array(finite.astype(np.int64)),
-                }
-            )
+    def score(batch: pa.Table) -> pa.Table:
+        lm = ray.get(lm_ref)
+        toks, counts = tokenize_array(batch.column("text").to_pylist())
+        off = np.concatenate([[0], np.cumsum(counts)])
+        lps = np.array(
+            [lm.query_log_prob(toks[off[i] : off[i + 1]].tolist()) for i in range(len(counts))], dtype=np.float64
+        )
+        finite = np.isfinite(lps)
+        milli = np.where(finite, np.rint(np.where(finite, lps, 0.0) * 1000), NEG_SENTINEL).astype(np.int64)
+        return pa.table(
+            {
+                "doc_id": batch.column("doc_id"),
+                "n_tokens": pa.array(counts.astype(np.int64)),
+                "logprob_milli": pa.array(milli),
+                "is_finite": pa.array(finite.astype(np.int64)),
+            }
+        )
 
     ds = read_pq(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(Scorer, batch_format="pyarrow", concurrency=default_actor_pool()).materialize()
+    return ds.map_batches(score, batch_format="pyarrow").materialize()
 
 
 def _sql_lm_doc_scores() -> str:

@@ -574,57 +574,47 @@ def ann_pq_topk(
     )  # (n_q, m, ksub)
     bundle_ref = ray.put((qids, qm, cbs, luts))
 
-    class PartialPQTopK:
-        def __init__(self, bundle_ref, rerank: int, m: int, sub: int):
-            self.qids, self.qm, self.cbs, self.luts = ray.get(bundle_ref)
-            self.rerank, self.m, self.sub = rerank, m, sub
+    def partial_pq_topk(batch: pa.Table) -> pa.Table:
+        empty = pa.table(
+            {
+                "query_id": pa.array([], pa.int64()),
+                "vec_id": pa.array([], pa.int64()),
+                "adist": pa.array([], pa.float64()),
+                "dist": pa.array([], pa.float64()),
+            }
+        )
+        if len(batch) == 0:
+            return empty
+        qids, qm, cbs, luts = ray.get(bundle_ref)
+        ids = batch.column("vec_id").to_numpy().astype(np.int64)
+        mat = vec_matrix(batch.column("embedding"))
+        adist = np.zeros((len(qids), len(ids)))
+        for s in range(m):
+            codes = sq_dists(mat[:, s * sub : (s + 1) * sub], cbs[s]).argmin(1)
+            adist += luts[:, s, :][:, codes]
+        out_q, out_v, out_a, out_e = [], [], [], []
+        for qi in range(len(qids)):
+            mask = ids != qids[qi]  # exclude self-match
+            d_m, ids_m = adist[qi][mask], ids[mask]
+            order = np.lexsort((ids_m, d_m))[:rerank]  # (adist, vec_id)
+            kept = mat[mask][order]
+            exact = ((kept - qm[qi]) ** 2).sum(axis=1)
+            out_q.append(np.full(len(order), qids[qi], np.int64))
+            out_v.append(ids_m[order])
+            out_a.append(d_m[order])
+            out_e.append(exact)
+        if not out_q:
+            return empty
+        return pa.table(
+            {
+                "query_id": pa.array(np.concatenate(out_q)),
+                "vec_id": pa.array(np.concatenate(out_v)),
+                "adist": pa.array(np.concatenate(out_a)),
+                "dist": pa.array(np.concatenate(out_e)),
+            }
+        )
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "adist": pa.array([], pa.float64()),
-                    "dist": pa.array([], pa.float64()),
-                }
-            )
-            if len(batch) == 0:
-                return empty
-            ids = batch.column("vec_id").to_numpy().astype(np.int64)
-            mat = vec_matrix(batch.column("embedding"))
-            adist = np.zeros((len(self.qids), len(ids)))
-            for s in range(self.m):
-                codes = sq_dists(mat[:, s * self.sub : (s + 1) * self.sub], self.cbs[s]).argmin(1)
-                adist += self.luts[:, s, :][:, codes]
-            out_q, out_v, out_a, out_e = [], [], [], []
-            for qi in range(len(self.qids)):
-                mask = ids != self.qids[qi]  # exclude self-match
-                d_m, ids_m = adist[qi][mask], ids[mask]
-                order = np.lexsort((ids_m, d_m))[: self.rerank]  # (adist, vec_id)
-                kept = mat[mask][order]
-                exact = ((kept - self.qm[qi]) ** 2).sum(axis=1)
-                out_q.append(np.full(len(order), self.qids[qi], np.int64))
-                out_v.append(ids_m[order])
-                out_a.append(d_m[order])
-                out_e.append(exact)
-            if not out_q:
-                return empty
-            return pa.table(
-                {
-                    "query_id": pa.array(np.concatenate(out_q)),
-                    "vec_id": pa.array(np.concatenate(out_v)),
-                    "adist": pa.array(np.concatenate(out_a)),
-                    "dist": pa.array(np.concatenate(out_e)),
-                }
-            )
-
-    partial = emb.map_batches(
-        PartialPQTopK,
-        fn_constructor_kwargs=dict(bundle_ref=bundle_ref, rerank=rerank, m=m, sub=sub),
-        batch_format="pyarrow",
-        batch_size=4096,
-        concurrency=(1, 4),
-    )
+    partial = emb.map_batches(partial_pq_topk, batch_format="pyarrow", batch_size=4096)
 
     return _pq_reduce(partial, k, rerank)
 

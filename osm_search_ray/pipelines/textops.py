@@ -165,7 +165,7 @@ FROM documents
 
 def langid(sf_dir: str):
     """Language-ID heuristic (stopword hit counts, deterministic arg-max) —
-    an actor-pool stage; exactly reproducible in SQL for the oracle."""
+    a per-batch stage; exactly reproducible in SQL for the oracle."""
     import ray.data
 
     from ..stages.textstats import langid_stage
@@ -267,9 +267,9 @@ FROM occurrences GROUP BY 1
 
 def image_features(sf_dir: str):
     """Multimodal plumbing driver query (rows-only): documents' text bytes
-    stand in as opaque binary payloads → actor-pool decode/feature stage
-    (deterministic fake decode; stages/multimodal.py — real codecs are
-    stubbed in this container). Output (item_id, height, width, feat_sum_x1e9)."""
+    stand in as opaque binary payloads → per-batch decode/feature stage
+    (deterministic fake decode; stages/multimodal.py — no real codecs in
+    this container). Output (item_id, height, width, feat_sum_x1e9)."""
     import ray.data
 
     from ..stages.multimodal import image_feature_stage
@@ -301,7 +301,7 @@ def image_features(sf_dir: str):
 
 def _sql_image_features() -> str:
     """Oracle for the deterministic fake image decode (stages/multimodal.py
-    _fake_pixels): per doc, seed = byte length, head = first 8 utf-8 bytes
+    _fake_pixels_batch): per doc, seed = byte length, head = first 8 utf-8 bytes
     little-endian (hex-parsed), base = splitmix64(seed ^ head), pixel j =
     splitmix64((j + base) mod 2^64) & 0xFF over the 32×32 grid; feature =
     16-bin intensity histogram / 1024, reported as rint(max * 1e9). The
@@ -736,7 +736,7 @@ FROM toks
 def quality_model(sf_dir: str):
     """Model-based quality filtering (the fasttext-classifier slot of an
     LLM data pipeline): a linear scorer over integer text features runs as
-    an ACTOR-POOL inference stage (weights loaded once per actor), emitting
+    a per-batch inference stage (the weights are a module constant), emitting
     (doc_id, logit, keep). The logit is bit-identical to the SQL oracle —
     integer features, single-IEEE-op weight products, left-associative sum
     (the stages/dedup.ordered_dot float discipline)."""
@@ -1035,8 +1035,8 @@ AUDIO_STRIDE = 4
 def audio_features(sf_dir: str):
     """Multimodal AUDIO plumbing driver query — the frame-sampling twin of
     image_features: documents' text bytes stand in as opaque audio payloads
-    → actor-pool AudioFrameSampler (fixed 256-byte frames, every 4th kept;
-    stages/multimodal.py — real codecs are stubbed in this container), then
+    → per-batch audio_frames_batch (fixed 256-byte frames, every 4th kept;
+    stages/multimodal.py — no real codecs in this container), then
     a summary the oracle can reproduce by pure byte arithmetic:
     (item_id, n_frames, n_sampled, first_byte_sum) where first_byte_sum is
     the sum of the FIRST byte of every sampled frame (a content checksum —
@@ -1550,8 +1550,8 @@ SELECT term, partner, n AS n_pairs, rank FROM ranked WHERE rank <= {k}
 
 
 # (kw_id, phrase) — the broadcast dictionary of a brand-safety / taxonomy
-# tagger; tiny here, an Aho-Corasick automaton per actor at real lexicon
-# sizes (same broadcast-once shape either way).
+# tagger; tiny here, an Aho-Corasick automaton broadcast once (ray.put) at
+# real lexicon sizes.
 TAG_LEXICON: list[tuple[int, str]] = [
     (0, "sort merge"),
     (1, "join order"),
@@ -1569,7 +1569,7 @@ def lexicon_tags(sf_dir: str):
     NON-OVERLAPPING left-to-right occurrences of the phrase as a raw
     substring — the scan-side kernel of brand-safety / taxonomy / PII-lexicon
     tagging over a web corpus. The lexicon is broadcast state (a closure
-    constant; an actor-held Aho-Corasick automaton at 10^5-phrase scale);
+    constant; a broadcast Aho-Corasick automaton at 10^5-phrase scale);
     the corpus streams through one map_batches with zero shuffles.
     Left-to-right non-overlapping is exactly what both regex findall and
     SQL replace() compute, so the twins agree on self-overlapping phrases
@@ -1628,8 +1628,7 @@ def feature_hash(sf_dir: str):
 
     Shape: ZERO shuffles — a doc's tokens live in its row, so one
     map_batches pass emits final (doc_id, dim, feat≠0) rows; hashing runs
-    once per DISTINCT batch token (an actor-cached term→(dim,sign) dict at
-    real vocab scale). Exact integers end-to-end."""
+    once per DISTINCT batch token. Exact integers end-to-end."""
     from ..functions.hashing import hash64_md5
 
     def featurize(batch: pa.Table) -> pa.Table:

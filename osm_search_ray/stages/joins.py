@@ -308,19 +308,6 @@ def default_num_parts() -> int:
     return max(16, 2 * cpus)
 
 
-def default_actor_pool(min_size: int = 1) -> tuple[int, int]:
-    """CPU-proportional actor-pool bounds for ``map_batches(Cls,
-    concurrency=...)``: autoscale from ``min_size`` up to half the
-    cluster's CPUs (floor 8). A hardcoded (1, 8) cap silently starves a
-    256-node cluster; Ray's pools ramp lazily from the minimum, so a
-    large max costs nothing at suite scale (the actor-ramp pitfall note)."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return (min_size, max(8, cpus // 2))
-
-
 PREFIX_SENTINEL = np.iinfo(np.int64).min
 
 

@@ -2,27 +2,25 @@
 as opaque ``binary`` columns with typed metadata.
 
 This container has no image/audio codecs (no PIL / ffmpeg / torchvision),
-so the DECODE step is stubbed: ``codec="real"`` raises NotImplementedError
-at actor construction; ``codec="fake"`` (default, used in tests and
-benchmarks) produces a DETERMINISTIC fake decode derived from the payload
-bytes — the Ray-side plumbing (schema, actor signature, batch sizing, output
-layout) is real and tested either way.
+so the DECODE step is a DETERMINISTIC fake derived from the payload bytes;
+the Ray-side plumbing (schema, batch sizing, output layout) is real and
+tested. Real codecs are out of scope.
 
 Scale notes baked into the stage defaults:
-  * small ``batch_size`` (64) — large binary payloads × batch × concurrency
-    must fit the worker heap (ray_guide.md 'Memory-aware')
+  * small ``batch_size`` (64) — large binary payloads × batch must fit
+    the worker heap (ray_guide.md 'Memory-aware')
   * the binary column is DROPPED from the output (features only) so blocks
     shrink immediately after the expensive stage
-  * actor pools (not tasks): codec/model setup happens once per actor
+  * plain per-batch functions (``map_batches(fn)``), no actor pool: the
+    fake decode has no state to load, and an actor pool could hold a
+    one-CPU cluster's only CPU before the read task that feeds it runs
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
-from .joins import default_actor_pool
 
 from ..functions.hashing import splitmix64
 
@@ -41,17 +39,10 @@ def _fake_bases(payloads: list) -> np.ndarray:
     return splitmix64(seed ^ head)
 
 
-def _fake_pixels(payload: bytes, h: int, w: int) -> np.ndarray:
-    """Deterministic fake decode: seed a counter-based stream from the bytes."""
-    base = _fake_bases([payload])[0]
-    stream = splitmix64(np.arange(h * w, dtype=np.uint64) + base)
-    return (stream & np.uint64(0xFF)).astype(np.uint8).reshape(h, w)
-
-
 def _fake_pixels_batch(payloads: list, h: int, w: int) -> np.ndarray:
-    """(n, h*w) uint8 — the whole batch decoded in ONE numpy broadcast
-    (identical values to per-doc _fake_pixels; the per-payload Python work
-    is just the 8-byte header read)."""
+    """(n, h*w) uint8 — the whole batch decoded in ONE numpy broadcast:
+    per payload, a counter-based stream seeded from its bytes (the
+    per-payload Python work is just the 8-byte header read)."""
     if not payloads:
         return np.empty((0, h * w), dtype=np.uint8)
     base = _fake_bases(payloads)
@@ -60,139 +51,56 @@ def _fake_pixels_batch(payloads: list, h: int, w: int) -> np.ndarray:
     return (stream & np.uint64(0xFF)).astype(np.uint8)
 
 
-class ImageDecodeFeatures:
-    """binary image column → fixed-dim feature vector + (h, w) metadata.
-
-    Actor-pool stage: with a real codec the model/codec loads once here."""
-
-    def __init__(self, codec: str = "fake", bin_col: str = "payload", id_col: str = "item_id", hw: tuple = (32, 32)):
-        if codec == "real":
-            raise NotImplementedError(
-                "no image codec in this environment — install PIL/torchvision and implement real decode here"
-            )
-        self.bin_col, self.id_col, self.hw = bin_col, id_col, hw
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        h, w = self.hw
-        payloads = batch.column(self.bin_col).to_pylist()
-        n = len(payloads)
-        px = _fake_pixels_batch(payloads, h, w)
-        # 16-bin intensity histogram per doc, L1-normalized — one bincount
-        # over (doc, bin) flat indices for the whole batch
-        bins = (px >> 4).astype(np.int64)
-        idx = (np.arange(n, dtype=np.int64)[:, None] * IMAGE_FEATURE_DIM + bins).ravel()
-        hist = (
-            np.bincount(idx, minlength=n * IMAGE_FEATURE_DIM)
-            .reshape(n, IMAGE_FEATURE_DIM)
-            .astype(np.float64)
-        )
-        feats = hist / np.maximum(hist.sum(axis=1, keepdims=True), 1.0)
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "height": pa.array(np.full(n, h, np.int32)),
-                "width": pa.array(np.full(n, w, np.int32)),
-                "features": pa.array(feats.tolist(), pa.list_(pa.float64(), IMAGE_FEATURE_DIM)),
-            }
-        )
+def image_features_batch(
+    batch: pa.Table, bin_col: str = "payload", id_col: str = "item_id", hw: tuple = (32, 32)
+) -> pa.Table:
+    """binary image column → fixed-dim feature vector + (h, w) metadata."""
+    h, w = hw
+    payloads = batch.column(bin_col).to_pylist()
+    n = len(payloads)
+    px = _fake_pixels_batch(payloads, h, w)
+    # 16-bin intensity histogram per doc, L1-normalized — one bincount
+    # over (doc, bin) flat indices for the whole batch
+    bins = (px >> 4).astype(np.int64)
+    idx = (np.arange(n, dtype=np.int64)[:, None] * IMAGE_FEATURE_DIM + bins).ravel()
+    hist = np.bincount(idx, minlength=n * IMAGE_FEATURE_DIM).reshape(n, IMAGE_FEATURE_DIM).astype(np.float64)
+    feats = hist / np.maximum(hist.sum(axis=1, keepdims=True), 1.0)
+    return pa.table(
+        {
+            id_col: batch.column(id_col),
+            "height": pa.array(np.full(n, h, np.int32)),
+            "width": pa.array(np.full(n, w, np.int32)),
+            "features": pa.array(feats.tolist(), pa.list_(pa.float64(), IMAGE_FEATURE_DIM)),
+        }
+    )
 
 
-class ImageResize:
-    """binary image column → resized image payload (nearest-neighbor over
-    the decoded pixel grid) + output dims. The resized BINARY replaces the
-    input payload so block size shrinks through the stage; with a real
-    codec the decode/encode pair loads once per actor (actor-pool stage,
-    same contract as ImageDecodeFeatures)."""
-
-    def __init__(
-        self,
-        codec: str = "fake",
-        bin_col: str = "payload",
-        id_col: str = "item_id",
-        in_hw: tuple = (32, 32),
-        out_hw: tuple = (8, 8),
-    ):
-        if codec == "real":
-            raise NotImplementedError(
-                "no image codec in this environment — install PIL/torchvision and implement real decode/encode here"
-            )
-        self.bin_col, self.id_col = bin_col, id_col
-        self.in_hw, self.out_hw = in_hw, out_hw
-        ih, iw = in_hw
-        oh, ow = out_hw
-        # nearest-neighbor index grid, computed ONCE per actor
-        self._rows = (np.arange(oh) * ih // oh)[:, None]
-        self._cols = (np.arange(ow) * iw // ow)[None, :]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        oh, ow = self.out_hw
-        out = []
-        for payload in batch.column(self.bin_col).to_pylist():
-            px = _fake_pixels(payload or b"", *self.in_hw)
-            out.append(px[self._rows, self._cols].tobytes())
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "height": pa.array(np.full(len(out), oh, np.int32)),
-                "width": pa.array(np.full(len(out), ow, np.int32)),
-                self.bin_col: pa.array(out, pa.binary()),
-            }
-        )
-
-
-class AudioFrameSampler:
+def audio_frames_batch(
+    batch: pa.Table, bin_col: str = "payload", id_col: str = "item_id", frame_bytes: int = 256, stride: int = 4
+) -> pa.Table:
     """binary audio column → every k-th 'frame' (fixed-size byte windows) as
     list<binary> + frame count metadata; deterministic, codec-free."""
-
-    def __init__(self, bin_col: str = "payload", id_col: str = "item_id", frame_bytes: int = 256, stride: int = 4):
-        self.bin_col, self.id_col = bin_col, id_col
-        self.frame_bytes, self.stride = frame_bytes, stride
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_frames_out, samples = [], []
-        for payload in batch.column(self.bin_col).to_pylist():
-            payload = payload or b""
-            frames = [
-                payload[i : i + self.frame_bytes] for i in range(0, len(payload), self.frame_bytes)
-            ]
-            picked = frames[:: self.stride]
-            n_frames_out.append(len(frames))
-            samples.append(picked)
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "n_frames": pa.array(n_frames_out, pa.int32()),
-                "sampled_frames": pa.array(samples, pa.list_(pa.binary())),
-            }
-        )
-
-
-def image_feature_stage(ds: "ray.data.Dataset", codec: str = "fake", concurrency=None, batch_size: int = 64):
-    return ds.map_batches(
-        ImageDecodeFeatures,
-        fn_constructor_kwargs=dict(codec=codec),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_actor_pool(),
+    n_frames_out, samples = [], []
+    for payload in batch.column(bin_col).to_pylist():
+        payload = payload or b""
+        frames = [payload[i : i + frame_bytes] for i in range(0, len(payload), frame_bytes)]
+        n_frames_out.append(len(frames))
+        samples.append(frames[::stride])
+    return pa.table(
+        {
+            id_col: batch.column(id_col),
+            "n_frames": pa.array(n_frames_out, pa.int32()),
+            "sampled_frames": pa.array(samples, pa.list_(pa.binary())),
+        }
     )
 
 
-def image_resize_stage(
-    ds: "ray.data.Dataset", codec: str = "fake", out_hw: tuple = (8, 8), concurrency=None, batch_size: int = 64
-):
-    return ds.map_batches(
-        ImageResize,
-        fn_constructor_kwargs=dict(codec=codec, out_hw=out_hw),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_actor_pool(),
-    )
+def image_feature_stage(ds: "ray.data.Dataset", batch_size: int = 64):
+    return ds.map_batches(image_features_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
-def audio_sample_stage(ds: "ray.data.Dataset", concurrency=None, batch_size: int = 64):
-    return ds.map_batches(
-        AudioFrameSampler, batch_format="pyarrow", batch_size=batch_size, concurrency=concurrency or default_actor_pool()
-    )
+def audio_sample_stage(ds: "ray.data.Dataset", batch_size: int = 64):
+    return ds.map_batches(audio_frames_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
 def make_binary_items(n: int = 64, payload_bytes: int = 4096, seed: int = 3) -> pa.Table:

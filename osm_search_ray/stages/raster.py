@@ -14,7 +14,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
-from .joins import default_actor_pool
 
 from ..functions.cells import RES_COARSE, cell_bounds
 from .spatial_join import PolygonSet
@@ -76,43 +75,32 @@ def rects_to_mask(rects: list[tuple[int, int, int, int]], grid: int = GRID) -> n
     return mask
 
 
-class TileRasterizer:
-    """Actor-pool stage: polygon set broadcast once; per batch of tile cell
-    ids, emit (cell, n_covered_px, n_rects, rects serialized)."""
-
-    def __init__(self, polys_ref, res: int = RES_COARSE, grid: int = GRID):
-        self.polys: PolygonSet = ray.get(polys_ref) if not isinstance(polys_ref, PolygonSet) else polys_ref
-        self.res = res
-        self.grid = grid
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        cells_in = batch.column("cell").to_numpy()
-        n_px, n_rects, rect_rows = [], [], []
-        for c in cells_in:
-            mask = rasterize_tile(int(c), self.polys, self.res, self.grid)
-            rects = vectorize_mask(mask)
-            if not (rects_to_mask(rects, self.grid) == mask).all():
-                raise RuntimeError("vectorize_mask: rects do not round-trip to the tile mask")
-            n_px.append(int(mask.sum()))
-            n_rects.append(len(rects))
-            rect_rows.append(np.asarray(rects, dtype=np.int64).ravel().tolist())
-        return pa.table(
-            {
-                "cell": batch.column("cell"),
-                "covered_px": pa.array(n_px, pa.int64()),
-                "n_rects": pa.array(n_rects, pa.int64()),
-                "rects": pa.array(rect_rows, pa.list_(pa.int64())),
-            }
-        )
+def rasterize_batch(batch: pa.Table, polys: PolygonSet, res: int, grid: int) -> pa.Table:
+    """Per batch of tile cell ids, emit (cell, n_covered_px, n_rects,
+    rects serialized)."""
+    n_px, n_rects, rect_rows = [], [], []
+    for c in batch.column("cell").to_numpy():
+        mask = rasterize_tile(int(c), polys, res, grid)
+        rects = vectorize_mask(mask)
+        if not (rects_to_mask(rects, grid) == mask).all():
+            raise RuntimeError("vectorize_mask: rects do not round-trip to the tile mask")
+        n_px.append(int(mask.sum()))
+        n_rects.append(len(rects))
+        rect_rows.append(np.asarray(rects, dtype=np.int64).ravel().tolist())
+    return pa.table(
+        {
+            "cell": batch.column("cell"),
+            "covered_px": pa.array(n_px, pa.int64()),
+            "n_rects": pa.array(n_rects, pa.int64()),
+            "rects": pa.array(rect_rows, pa.list_(pa.int64())),
+        }
+    )
 
 
 def rasterize_coverage(tiles: "ray.data.Dataset", polys: PolygonSet, res: int = RES_COARSE, grid: int = GRID):
-    """tiles(cell) → per-tile raster coverage + vectorized rectangles."""
+    """tiles(cell) → per-tile raster coverage + vectorized rectangles. The
+    polygon set is put once; each batch gets it from the object store."""
     ref = ray.put(polys)
     return tiles.map_batches(
-        TileRasterizer,
-        fn_constructor_kwargs=dict(polys_ref=ref, res=res, grid=grid),
-        batch_format="pyarrow",
-        batch_size=256,
-        concurrency=default_actor_pool(),
+        lambda t: rasterize_batch(t, ray.get(ref), res, grid), batch_format="pyarrow", batch_size=256
     )

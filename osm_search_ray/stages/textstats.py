@@ -3,6 +3,10 @@
 
 The language-ID heuristic is deliberately SQL-expressible (stopword-set hit
 counts + deterministic arg-max) so the driver oracle can verify it exactly.
+
+Every stage is a plain per-batch function (``map_batches(fn)``): the
+stopword sets and the quality weights are module constants, so there is
+no per-worker state to load and no actor pool to hold a CPU.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import rolling_fingerprint
-from .joins import default_actor_pool
 from ..functions.tokenize import tokenize_array
 
 # Stopword sets per language, alphabetical language order is the tie-break.
@@ -37,33 +40,16 @@ def predict_lang(tokens: list[str]) -> str:
     return "unknown"
 
 
-class LangId:
-    """Actor-pool stage: stopword sets prepared once per actor."""
-
-    def __init__(self, text_col: str = "text", id_col: str = "doc_id"):
-        self.text_col, self.id_col = text_col, id_col
-        self.sets = {lang: sw for lang, sw in LANG_STOPWORDS.items()}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        toks, counts = tokenize_array(batch.column(self.text_col).to_pylist())
-        off = np.concatenate([[0], np.cumsum(counts)])
-        preds = [predict_lang(list(toks[off[i] : off[i + 1]])) for i in range(len(batch))]
-        return pa.table({self.id_col: batch.column(self.id_col), "pred_lang": pa.array(preds, pa.string())})
+def langid_batch(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
+    """(id, pred_lang) per row: ``predict_lang`` over the row's tokens."""
+    toks, counts = tokenize_array(batch.column(text_col).to_pylist())
+    off = np.concatenate([[0], np.cumsum(counts)])
+    preds = [predict_lang(list(toks[off[i] : off[i + 1]])) for i in range(len(batch))]
+    return pa.table({id_col: batch.column(id_col), "pred_lang": pa.array(preds, pa.string())})
 
 
-def langid_stage(docs, text_col: str = "text", id_col: str = "doc_id", concurrency=None):
-    """Stateless tasks by default (the stopword sets are module constants —
-    an actor pool's spawn cost dominates this short stage); pass a
-    ``concurrency`` to get an actor pool for long-running corpora."""
-    if concurrency is None:
-        fn = LangId(text_col=text_col, id_col=id_col)
-        return docs.map_batches(lambda t, _fn=fn: _fn(t), batch_format="pyarrow")
-    return docs.map_batches(
-        LangId,
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col),
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+def langid_stage(docs, text_col: str = "text", id_col: str = "doc_id"):
+    return docs.map_batches(langid_batch, fn_kwargs=dict(text_col=text_col, id_col=id_col), batch_format="pyarrow")
 
 
 def fingerprint_stage(docs, text_col: str = "text", id_col: str = "doc_id"):
@@ -98,70 +84,55 @@ QUALITY_WEIGHTS: dict[str, float] = {
     "n_chars": 0.003,
     "digit_runs": -0.5,
 }
+_EN_STOPWORDS = np.asarray(sorted(LANG_STOPWORDS["en"]))
 
 
-class QualityModel:
-    """Actor-pool model-inference stage: the weight vector and the stopword
-    array are loaded ONCE per actor in __init__ (the model-checkpoint slot —
-    a real classifier would mmap its matrix here); __call__ scores a batch
-    vectorized. Output (doc_id, logit, keep)."""
+def quality_model_batch(batch: pa.Table, text_col: str, id_col: str) -> pa.Table:
+    """Model inference over one batch, vectorized: the linear scorer over
+    ``QUALITY_WEIGHTS`` (the shipped "checkpoint"). Output (id, logit,
+    keep)."""
+    import pyarrow.compute as pc
 
-    def __init__(self, weights: dict | None = None, text_col: str = "text", id_col: str = "doc_id"):
-        self.w = dict(QUALITY_WEIGHTS if weights is None else weights)
-        self.stop = np.asarray(sorted(LANG_STOPWORDS["en"]))
-        self.text_col, self.id_col = text_col, id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        texts = batch.column(self.text_col).to_pylist()
-        n = len(texts)
-        toks, counts = tokenize_array(texts)
-        doc_idx = np.repeat(np.arange(n), counts)
-        tok_arr = np.asarray(toks, dtype=object)
-        hits = np.bincount(doc_idx, weights=np.isin(tok_arr, self.stop), minlength=n).astype(np.int64)
-        nd = (
-            pd.DataFrame({"d": doc_idx, "t": tok_arr})
-            .drop_duplicates()
-            .groupby("d")
-            .size()
-            .reindex(range(n), fill_value=0)
-            .to_numpy(dtype=np.int64)
-        )
-        nt = counts.astype(np.int64)
-        nc = np.asarray([len(s or "") for s in texts], dtype=np.int64)
-        ng = pc.count_substring_regex(batch.column(self.text_col), "[0-9]+").to_numpy().astype(np.int64)
-        ratio = np.zeros(n, dtype=np.float64)
-        nz = nt > 0
-        ratio[nz] = nd[nz].astype(np.float64) / nt[nz].astype(np.float64)
-        w = self.w
-        # left-associative sum of single-IEEE-op terms — the order the SQL
-        # oracle's parenthesization replays
-        logit = w["bias"] + w["n_tokens"] * nt.astype(np.float64)
-        logit = logit + w["stop_hits"] * hits.astype(np.float64)
-        logit = logit + w["distinct_ratio"] * ratio
-        logit = logit + w["n_chars"] * nc.astype(np.float64)
-        logit = logit + w["digit_runs"] * ng.astype(np.float64)
-        return pa.table(
-            {
-                self.id_col: batch.column(self.id_col),
-                "logit": pa.array(logit),
-                "keep": pa.array((logit > 0.0).astype(np.int64)),
-            }
-        )
+    texts = batch.column(text_col).to_pylist()
+    n = len(texts)
+    toks, counts = tokenize_array(texts)
+    doc_idx = np.repeat(np.arange(n), counts)
+    tok_arr = np.asarray(toks, dtype=object)
+    hits = np.bincount(doc_idx, weights=np.isin(tok_arr, _EN_STOPWORDS), minlength=n).astype(np.int64)
+    nd = (
+        pd.DataFrame({"d": doc_idx, "t": tok_arr})
+        .drop_duplicates()
+        .groupby("d")
+        .size()
+        .reindex(range(n), fill_value=0)
+        .to_numpy(dtype=np.int64)
+    )
+    nt = counts.astype(np.int64)
+    nc = np.asarray([len(s or "") for s in texts], dtype=np.int64)
+    ng = pc.count_substring_regex(batch.column(text_col), "[0-9]+").to_numpy().astype(np.int64)
+    ratio = np.zeros(n, dtype=np.float64)
+    nz = nt > 0
+    ratio[nz] = nd[nz].astype(np.float64) / nt[nz].astype(np.float64)
+    w = QUALITY_WEIGHTS
+    # left-associative sum of single-IEEE-op terms — the order the SQL
+    # oracle's parenthesization replays
+    logit = w["bias"] + w["n_tokens"] * nt.astype(np.float64)
+    logit = logit + w["stop_hits"] * hits.astype(np.float64)
+    logit = logit + w["distinct_ratio"] * ratio
+    logit = logit + w["n_chars"] * nc.astype(np.float64)
+    logit = logit + w["digit_runs"] * ng.astype(np.float64)
+    return pa.table(
+        {
+            id_col: batch.column(id_col),
+            "logit": pa.array(logit),
+            "keep": pa.array((logit > 0.0).astype(np.int64)),
+        }
+    )
 
 
-def quality_model_stage(docs, text_col: str = "text", id_col: str = "doc_id", concurrency=None):
-    """Batched model inference over the corpus. Default is an ACTOR POOL
-    (map_batches with a class — the shape a real model checkpoint needs:
-    load once per actor, score per batch); pass concurrency=0 for
-    stateless-task mode on tiny inputs."""
-    if concurrency == 0:
-        fn = QualityModel(text_col=text_col, id_col=id_col)
-        return docs.map_batches(lambda t, _fn=fn: _fn(t), batch_format="pyarrow")
+def quality_model_stage(docs, text_col: str = "text", id_col: str = "doc_id"):
+    """Batched model inference over the corpus, one ``quality_model_batch``
+    call per batch."""
     return docs.map_batches(
-        QualityModel,
-        fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col),
-        batch_format="pyarrow",
-        concurrency=concurrency or default_actor_pool(),
+        quality_model_batch, fn_kwargs=dict(text_col=text_col, id_col=id_col), batch_format="pyarrow"
     )

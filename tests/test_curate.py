@@ -101,23 +101,3 @@ def test_quality_model_matches_reference():
         assert got.loc[did, "keep"] == keep, did
     # the fixture must exercise both keep classes
     assert 0 < got["keep"].sum() < len(docs)
-
-
-def test_quality_model_actor_pool_equals_stateless():
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from osm_search_ray.stages.textstats import quality_model_stage
-
-    docs = pq.read_table(
-        "/root/testdata/sf0.001/documents.parquet", columns=["doc_id", "text"]
-    ).to_pandas()
-    a = quality_model_stage(ray.data.from_pandas(docs)).to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = (
-        quality_model_stage(ray.data.from_pandas(docs), concurrency=0)
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    pd.testing.assert_frame_equal(a, b)

@@ -22,29 +22,12 @@ class TestMultimodal:
         for a, b in zip(out1["features"], out2["features"]):
             assert np.asarray(a).tolist() == np.asarray(b).tolist()
 
-    def test_real_codec_raises(self):
-        with pytest.raises(NotImplementedError):
-            mm.ImageDecodeFeatures(codec="real")
-
     def test_audio_frame_sampling(self):
         items = mm.make_binary_items(8, payload_bytes=2048)
         out = mm.audio_sample_stage(ray.data.from_arrow(items)).to_pandas()
         assert (out["n_frames"] == 8).all()  # 2048 / 256
         assert all(len(s) == 2 for s in out["sampled_frames"])  # every 4th of 8
         assert all(len(s[0]) == 256 for s in out["sampled_frames"])
-
-    def test_image_resize_nearest_neighbor(self):
-        items = mm.make_binary_items(16)
-        out = mm.image_resize_stage(ray.data.from_arrow(items), out_hw=(8, 8)).to_pandas()
-        assert (out["height"] == 8).all() and (out["width"] == 8).all()
-        assert all(len(p) == 64 for p in out["payload"])  # 8×8 uint8
-        # nearest-neighbor oracle: resized pixel (r, c) = source (r*4, c*4)
-        payload0 = items.column("payload")[0].as_py()
-        src = mm._fake_pixels(payload0, 32, 32)
-        got = np.frombuffer(out.sort_values("item_id")["payload"].iloc[0], dtype=np.uint8).reshape(8, 8)
-        assert (got == src[::4, ::4]).all()
-        with pytest.raises(NotImplementedError):
-            mm.ImageResize(codec="real")
 
     def test_empty_payload(self):
         import pyarrow as pa

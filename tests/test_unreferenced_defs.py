@@ -30,7 +30,6 @@ ALLOWED = {
     "sources/readers.py:write_pages_as",
     "stages/annindex.py:ivf_cosine_topk",
     "stages/geofence.py:fence_status_incremental",
-    "stages/multimodal.py:image_resize_stage",
     "stages/multimodal.py:make_binary_items",
     "stages/sketches.py:mg_merge",
     "state/lm.py:load_ngram_lm_ds",
